@@ -4,13 +4,14 @@ classical closed-form specializations (double points, simple ramification,
 tangential trisecants, odd theta characteristics).
 
 Route one ("bracket") evaluates the classical recursion-derived expression in
-a division-free product form.  Route two ("coefficient") extracts the
+a division-free product form.  Route two ("coefficient") evaluates the
 multilinear coefficient of t_1...t_e in
 
     (1 + a_1^2 t_1 + ... + a_e^2 t_e)^g * (1 + a_1 t_1 + ... + a_e t_e)^(d-r-g)
 
-by direct subset summation, with the negative exponent d-r-g handled through
-generalized falling factorials.  The two routes share no code beyond integer
+in de Jonquieres form (ACGH I, Ch. VIII Sec. 5), in O(e^2) multiplications, with
+e_k(a) expanded over the multiplicity profile rather than by the bracket route's
+`elementary_symmetric`.  The two routes share no code beyond integer
 multiplication, which is what makes their agreement a meaningful check.
 """
 
@@ -31,12 +32,7 @@ __all__ = [
     "ramification_count_check",
     "tangential_trisecant_count",
     "odd_theta_count",
-    "MAX_SUBSET_LENGTH",
 ]
-
-# Bitmask subset enumeration bound; far beyond any meaningful instance but
-# keeps 1 << e well away from pathological inputs.
-MAX_SUBSET_LENGTH = 62
 
 
 @dataclass(frozen=True)
@@ -88,41 +84,42 @@ def bracket(mu: Partition, g: int) -> int:
     return prod_a * total
 
 
+def _check_count_shape(r: int, d: int, mu: Partition) -> None:
+    """The finite-count shape |mu| = d and len(mu) = d - r, shared by both routes."""
+    if mu.total != d:
+        raise ContractViolation(f"|mu| = d violated: |mu|={mu.total}, d={d}")
+    if mu.length != d - r:
+        raise ContractViolation(f"len(mu) = d - r violated: len(mu)={mu.length}, d-r={d - r}")
+
+
 def coefficient_count(g: int, r: int, d: int, mu: Partition) -> int:
-    """Ordered count via the multilinear coefficient, by subset summation.
+    """Ordered count via the multilinear coefficient, in de Jonquieres form.
 
     Requires the finite-count shape |mu| = d and len(mu) = d - r.  Returns
 
-        sum over S of ff(g,|S|) * prod_{i in S} a_i^2 * ff(d-r-g, e-|S|) * prod_{i not in S} a_i
+        prod(a) * sum_{k=0}^{e} ff(g,k) * ff(d-r-g, e-k) * e_k(a),
 
-    without ever expanding the generating polynomial.
+    with e_k(a) read off prod_v (1 + v t)^(n_v), whose rows are C(n_v, j) * v^j.
     """
     e = mu.length
     if e == 0:
         raise ContractViolation("coefficient_count requires a nonempty partition")
     if g < 0:
         raise ContractViolation(f"coefficient_count requires g >= 0, got g={g}")
-    if mu.total != d:
-        raise ContractViolation(f"|mu| = d violated: |mu|={mu.total}, d={d}")
-    if e != d - r:
-        raise ContractViolation(f"len(mu) = d - r violated: len(mu)={e}, d-r={d - r}")
-    if e > MAX_SUBSET_LENGTH:
-        raise ContractViolation(f"partition length {e} exceeds subset cap {MAX_SUBSET_LENGTH}")
-    parts = mu.parts
-    ff_sq = [falling_factorial(g, k) for k in range(e + 1)]
-    ff_lin = [falling_factorial(d - r - g, k) for k in range(e + 1)]
-    total = 0
-    for mask in range(1 << e):
-        size = 0
-        prod = 1
-        for i in range(e):
-            if mask >> i & 1:
-                size += 1
-                prod *= parts[i] * parts[i]
-            else:
-                prod *= parts[i]
-        total += ff_sq[size] * ff_lin[e - size] * prod
-    return total
+    _check_count_shape(r, d, mu)
+    esym = [1]
+    prod_a = 1
+    for v, n in mu.multiplicities.items():
+        prod_a *= v**n
+        row = [binomial(n, j) * v**j for j in range(n + 1)]
+        out = [0] * (len(esym) + n)
+        for i, x in enumerate(esym):
+            for j, y in enumerate(row):
+                out[i + j] += x * y
+        esym = out
+    return prod_a * sum(
+        falling_factorial(g, k) * falling_factorial(d - r - g, e - k) * esym[k] for k in range(e + 1)
+    )
 
 
 def dj_count(g: int, r: int, d: int, mu: Partition, path: str = "coefficient") -> CountResult:
@@ -135,11 +132,7 @@ def dj_count(g: int, r: int, d: int, mu: Partition, path: str = "coefficient") -
     if path == "coefficient":
         ordered = coefficient_count(g, r, d, mu)
     elif path == "bracket":
-        # same preconditions as the coefficient route, so the two stay comparable
-        if mu.total != d:
-            raise ContractViolation(f"|mu| = d violated: |mu|={mu.total}, d={d}")
-        if mu.length != d - r:
-            raise ContractViolation(f"len(mu) = d - r violated: len(mu)={mu.length}, d-r={d - r}")
+        _check_count_shape(r, d, mu)
         ordered = bracket(mu, g)
     else:
         raise ValueError(f"unknown count path {path!r}")

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Iterable, Sequence
 
+from .errors import IntegralityError
+
 __all__ = [
     "falling_factorial",
     "binomial",
@@ -41,7 +43,8 @@ def binomial(m: int, k: int) -> int:
     num = falling_factorial(m, k)
     den = factorial(k)
     q, rem = divmod(num, den)
-    assert rem == 0, f"binomial({m},{k}) not integral"
+    if rem != 0:
+        raise IntegralityError(f"binomial({m},{k}) not integral")
     return q
 
 

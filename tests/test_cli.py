@@ -90,6 +90,13 @@ def test_count_plain(capsys):
     assert "delta=0" in out
 
 
+def test_count_with_29_parts(capsys):
+    # e=29: a 2^e subset sum over the parts would not finish
+    code, out = run(["count", "--g", "3", "--r", "1", "--d", "30", "--mu", "2,1^28"], capsys)
+    assert code == 0
+    assert "result=64" in out
+
+
 def test_empty_verdict(capsys):
     code, out = run(["empty", "--g", "4", "--r", "1", "--d", "3", "--mu", "3", "--f", "2", "--format", "json"], capsys)
     assert code == 0

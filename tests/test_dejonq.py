@@ -1,5 +1,5 @@
 """Tests for the two count routes against each other, against closed forms,
-and against an independent full-expansion oracle."""
+and against two independent oracles: full series expansion and subset summation."""
 
 import random
 from itertools import combinations_with_replacement
@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import djcalc.dejonq
+import djcalc.exact
 from djcalc.dejonq import (
     CountResult,
     bracket,
@@ -20,7 +22,7 @@ from djcalc.dejonq import (
     tangential_trisecant_count,
 )
 from djcalc.errors import ContractViolation
-from djcalc.exact import Partition
+from djcalc.exact import Partition, falling_factorial
 
 # ---------------------------------------------------------------------------
 # oracle: truncated multilinear polynomials, dict {bitmask: coeff}, t_i^2 = 0.
@@ -71,6 +73,27 @@ def expanded_coefficient(g, r, d, mu):
     n = d - r - g
     second = ml_pow(lin, n) if n >= 0 else ml_pow(ml_inv(lin, e), -n)
     return ml_mul(first, second).get((1 << e) - 1, 0)
+
+
+def subset_sum_count(g, r, d, mu):
+    """The coefficient of t_1...t_e summed term by term over all 2^e subsets S:
+
+        sum over S of ff(g,|S|) * prod_{i in S} a_i^2 * ff(d-r-g, e-|S|) * prod_{i not in S} a_i
+    """
+    parts = mu.parts
+    e = len(parts)
+    total = 0
+    for mask in range(1 << e):
+        size = 0
+        prod = 1
+        for i in range(e):
+            if mask >> i & 1:
+                size += 1
+                prod *= parts[i] * parts[i]
+            else:
+                prod *= parts[i]
+        total += falling_factorial(g, size) * falling_factorial(d - r - g, e - size) * prod
+    return total
 
 
 def small_partitions(max_len, max_part):
@@ -132,14 +155,38 @@ def test_coefficient_count_matches_expansion_oracle():
         d = mu.total
         r = d - mu.length
         for g in range(5):
-            assert coefficient_count(g, r, d, mu) == expanded_coefficient(g, r, d, mu), (mu, g)
+            expected = expanded_coefficient(g, r, d, mu)
+            assert coefficient_count(g, r, d, mu) == subset_sum_count(g, r, d, mu) == expected, (mu, g)
 
 
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.integers(0, 8))
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=10), st.integers(0, 30))
 def test_bracket_equals_coefficient(parts, g):
     mu = Partition(parts)
     d = mu.total
-    assert bracket(mu, g) == coefficient_count(g, d - mu.length, d, mu)
+    r = d - mu.length
+    assert bracket(mu, g) == coefficient_count(g, r, d, mu) == subset_sum_count(g, r, d, mu)
+
+
+def test_coefficient_count_equals_bracket_at_large_length():
+    mu = Partition((5,) * 7 + (3,) * 40 + (2,) * 33 + (1,) * 40)
+    assert mu.length == 120
+    d = mu.total
+    for g in (0, 119, 121):
+        assert coefficient_count(g, d - mu.length, d, mu) == bracket(mu, g), g
+
+
+def test_coefficient_count_does_not_use_elementary_symmetric(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the coefficient route must not call elementary_symmetric")
+
+    mu = Partition([3, 2, 2, 1, 1, 1])
+    d = mu.total
+    expected = subset_sum_count(4, d - mu.length, d, mu)
+    monkeypatch.setattr(djcalc.exact, "elementary_symmetric", forbidden)
+    monkeypatch.setattr(djcalc.dejonq, "elementary_symmetric", forbidden)
+    assert coefficient_count(4, d - mu.length, d, mu) == expected
+    with pytest.raises(AssertionError):
+        bracket(mu, 4)
 
 
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.integers(0, 6), st.randoms())

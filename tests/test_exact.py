@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import djcalc.exact
+from djcalc.errors import IntegralityError
 from djcalc.exact import Partition, binomial, elementary_symmetric, falling_factorial
 
 
@@ -34,6 +36,13 @@ def test_binomial_times_factorial_is_falling_factorial():
     for x in range(-10, 11):
         for k in range(0, 11):
             assert falling_factorial(x, k) == binomial(x, k) * math.factorial(k)
+
+
+def test_binomial_raises_on_inexact_division(monkeypatch):
+    # a real error rather than an assert, so that python -O keeps the check
+    monkeypatch.setattr(djcalc.exact, "factorial", lambda k: math.factorial(k) + 1)
+    with pytest.raises(IntegralityError, match=r"binomial\(6,3\) not integral"):
+        binomial(6, 3)
 
 
 def test_elementary_symmetric_examples():
