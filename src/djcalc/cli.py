@@ -16,6 +16,8 @@ import io
 import json
 import random
 import sys
+from operator import itemgetter
+from typing import Callable, Container, Iterable
 
 from . import bn, dejonq, lls
 from .errors import ContractViolation, HypothesisViolation, IntegralityError
@@ -55,9 +57,20 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def eval_int_expr(text: str, env: dict[str, int]) -> int:
-    """Evaluate an integer expression over +, -, *, parentheses and the
-    variables in `env` (e.g. g, r, d)."""
+# Deeper nesting of parentheses or unary minus is rejected, so that neither
+# compiling nor evaluating an expression can exhaust the interpreter's stack.
+MAX_NESTING = 100
+
+# The most parts a partition spec may expand to; checked before the parts
+# are allocated.
+MAX_PARTS = 1_000_000
+
+
+def compile_int_expr(text: str, names: Container[str]) -> Callable[[dict[str, int]], int]:
+    """Compile an integer expression over +, -, *, parentheses and the
+    variables in `names` (e.g. g, r, d) into a function of an env that binds
+    every name.  Syntax errors and unknown variables raise ValueError here,
+    never at evaluation time."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -70,16 +83,23 @@ def eval_int_expr(text: str, env: dict[str, int]) -> int:
         pos += 1
         return tok
 
-    def atom() -> int:
+    def nest(depth: int) -> int:
+        if depth >= MAX_NESTING:
+            raise ValueError(f"expression {text!r} nests deeper than {MAX_NESTING} levels")
+        return depth + 1
+
+    # A compiled node is an int (a constant) or a function of env.
+    def atom(depth: int):
         tok = peek()
         if tok is None:
             raise ValueError(f"unexpected end of expression {text!r}")
         if tok == "-":
             take()
-            return -atom()
+            inner = atom(nest(depth))
+            return -inner if isinstance(inner, int) else lambda env: -inner(env)
         if tok == "(":
             take()
-            value = expr()
+            value = expr(nest(depth))
             if peek() != ")":
                 raise ValueError(f"missing ')' in expression {text!r}")
             take()
@@ -87,66 +107,144 @@ def eval_int_expr(text: str, env: dict[str, int]) -> int:
         take()
         if tok.isdigit():
             return int(tok)
-        if tok in env:
-            return env[tok]
+        if tok in names:
+            return itemgetter(tok)
         raise ValueError(f"unknown variable {tok!r} in expression {text!r}")
 
-    def term() -> int:
-        value = atom()
-        while peek() == "*":
-            take()
-            value *= atom()
-        return value
-
-    def expr() -> int:
-        value = term()
-        while peek() in ("+", "-"):
-            if take() == "+":
-                value += term()
+    def term(depth: int):
+        const, factors = 1, []
+        while True:
+            node = atom(depth)
+            if isinstance(node, int):
+                const *= node
             else:
-                value -= term()
-        return value
+                factors.append(node)
+            if peek() != "*":
+                break
+            take()
+        if not factors:
+            return const
+        if const == 1 and len(factors) == 1:
+            return factors[0]
 
-    result = expr()
+        def product(env):
+            value = const
+            for factor in factors:
+                value *= factor(env)
+            return value
+        return product
+
+    def expr(depth: int):
+        const, added, subtracted = 0, [], []
+        sign = "+"
+        while True:
+            node = term(depth)
+            if isinstance(node, int):
+                const += node if sign == "+" else -node
+            else:
+                (added if sign == "+" else subtracted).append(node)
+            if peek() not in ("+", "-"):
+                break
+            sign = take()
+        if not added and not subtracted:
+            return const
+        if const == 0 and len(added) == 1 and not subtracted:
+            return added[0]
+
+        def total(env):
+            value = const
+            for node in added:
+                value += node(env)
+            for node in subtracted:
+                value -= node(env)
+            return value
+        return total
+
+    result = expr(0)
     if pos != len(tokens):
         raise ValueError(f"trailing tokens {tokens[pos:]} in expression {text!r}")
+    if isinstance(result, int):
+        return lambda env: result
     return result
+
+
+def eval_int_expr(text: str, env: dict[str, int]) -> int:
+    """Evaluate an integer expression over +, -, *, parentheses and the
+    variables in `env` (e.g. g, r, d)."""
+    return compile_int_expr(text, env)(env)
+
+
+def _raiser(message: str):
+    def fail(*args):
+        raise ValueError(message)
+    return fail
+
+
+def compile_partition_spec(spec: str, names: Container[str]) -> Callable[[dict[str, int]], Partition]:
+    """Compile a partition spec (see parse_partition_spec) into a function of
+    env.  A compile error in an item is raised only when evaluation reaches
+    that item, so the earlier items' checks come first, item by item."""
+    items = []
+    for item in spec.split(","):
+        item = item.strip()
+        try:
+            if not item:
+                raise ValueError(f"empty item in partition spec {spec!r}")
+            if "^" in item:
+                base_text, exp_text = item.split("^", 1)
+                base = compile_int_expr(base_text, names)
+                exp = compile_int_expr(exp_text, names)
+            else:
+                base = compile_int_expr(item, names)
+                exp = None
+        except ValueError as exc:
+            base, exp = _raiser(str(exc)), None
+        items.append((item, base, exp))
+
+    def partition(env: dict[str, int]) -> Partition:
+        parts: list[int] = []
+        for item, base_of, exp_of in items:
+            base = base_of(env)
+            exp = 1 if exp_of is None else exp_of(env)
+            if exp < 0:
+                raise ValueError(f"partition item {item!r} has negative multiplicity {exp}")
+            if exp > 0 and base < 1:
+                raise ValueError(f"partition item {item!r} has non-positive part {base}")
+            if len(parts) + exp > MAX_PARTS:
+                raise ValueError(f"partition item {item!r} takes the partition past {MAX_PARTS} parts")
+            parts.extend([base] * exp)
+        return Partition(parts)
+    return partition
 
 
 def parse_partition_spec(spec: str, env: dict[str, int]) -> Partition:
     """Parse '2,2,1' or power notation '2^3,1^2'; bases and exponents may be
     expressions in g, r, d (e.g. '2^r,1^(d-2*r)').  Zero exponents drop the
-    part; negative exponents or non-positive parts are rejected.
+    part; negative exponents, non-positive parts and specs of more than
+    MAX_PARTS parts are rejected.
     """
-    parts: list[int] = []
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            raise ValueError(f"empty item in partition spec {spec!r}")
-        if "^" in item:
-            base_text, exp_text = item.split("^", 1)
-            base = eval_int_expr(base_text, env)
-            exp = eval_int_expr(exp_text, env)
-        else:
-            base = eval_int_expr(item, env)
-            exp = 1
-        if exp < 0:
-            raise ValueError(f"partition item {item!r} has negative multiplicity {exp}")
-        if exp > 0 and base < 1:
-            raise ValueError(f"partition item {item!r} has non-positive part {base}")
-        parts.extend([base] * exp)
-    return Partition(parts)
+    return compile_partition_spec(spec, env)(env)
+
+
+def compile_f_spec(spec: str, names: Iterable[str]) -> Callable[[dict[str, int], Partition], int]:
+    """Compile an f spec (see parse_f_spec) into a function of (env, mu).
+    A compile error is raised when the function is called."""
+    span = spec.startswith("span=")
+    try:
+        value_of = compile_int_expr(spec[len("span="):] if span else spec, {*names, "e", "s"})
+    except ValueError as exc:
+        return _raiser(str(exc))
+
+    def f_value(env: dict[str, int], mu: Partition) -> int:
+        value = value_of({**env, "e": mu.length, "s": mu.total})
+        return mu.total - value - 1 if span else value
+    return f_value
 
 
 def parse_f_spec(spec: str, env: dict[str, int], mu: Partition) -> int:
     """Parse an f value: an integer expression over g, r, d, e (partition
     length) and s (partition sum), or 'span=<expr>' for f = |mu| - span - 1."""
-    env = dict(env)
-    env["e"] = mu.length
-    env["s"] = mu.total
-    if spec.startswith("span="):
-        return mu.total - eval_int_expr(spec[len("span="):], env) - 1
-    return eval_int_expr(spec, env)
+    return compile_f_spec(spec, env)(env, mu)
 
 
 def parse_range(text: str) -> range:
@@ -239,11 +337,15 @@ def _cmd_empty(args):
 
 def _cmd_plucker(args):
     g, r, d = args.g, args.r, args.d
-    counted, closed = dejonq.ramification_count_check(g, r, d)
+    inputs = {"g": g, "r": r, "d": d}
+    paths = ["coefficient", "closed_form"]
+    try:
+        counted, closed = dejonq.ramification_count_check(g, r, d)
+    except IntegralityError as exc:
+        return [_record(inputs, None, paths, None, f"integrality violation: {exc}", None)], 3
     delta = counted - closed
     status = "ok" if delta == 0 else "cross-check failed: count and closed form disagree"
-    inputs = {"g": g, "r": r, "d": d}
-    record = _record(inputs, closed, ["coefficient", "closed_form"], delta, status, None)
+    record = _record(inputs, closed, paths, delta, status, None)
     return [record], (0 if delta == 0 else 3)
 
 
@@ -265,6 +367,10 @@ def _cmd_identity(args):
 def _cmd_sweep(args):
     records = []
     code = 0
+    names = ("g", "r", "d")
+    mu_of = compile_partition_spec(args.mu, names)
+    if args.what in ("dim", "empty"):
+        f_of = compile_f_spec(args.f, names)
     for g in parse_range(args.g):
         for r in parse_range(args.r):
             for d in parse_range(args.d):
@@ -273,7 +379,7 @@ def _cmd_sweep(args):
                 if args.what in ("dim", "empty"):
                     inputs["f"] = args.f
                 try:
-                    mu = parse_partition_spec(args.mu, env)
+                    mu = mu_of(env)
                 except ValueError as exc:
                     records.append(_record(inputs, None, [], None, f"skipped: {exc}", None))
                     continue
@@ -288,7 +394,7 @@ def _cmd_sweep(args):
                     code = max(code, row_code)
                     continue
                 try:
-                    f = parse_f_spec(args.f, env, mu)
+                    f = f_of(env, mu)
                     inputs["f"] = f
                     problem = bn.DJProblem(bn.SeriesParams(g, r, d), mu, f)
                     dim = bn.expected_dim_sigma(problem)

@@ -75,7 +75,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()) -> None:
         canonical = tuple(sorted(parts, reverse=True))
         for a in canonical:
-            if not isinstance(a, int) or a < 1:
+            if isinstance(a, bool) or not isinstance(a, int) or a < 1:
                 raise ValueError(f"partition parts must be positive integers, got {a!r}")
         object.__setattr__(self, "parts", canonical)
 

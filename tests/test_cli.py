@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from djcalc import cli, dejonq
 from djcalc.dejonq import CountResult
@@ -59,6 +62,196 @@ def test_parse_f_spec():
     # span=s inverts the span formula f = |mu| - span - 1
     assert cli.parse_f_spec("span=1", env, mu) == 2
     assert cli.parse_f_spec("span=r-2", env, mu) == 3
+
+
+def test_eval_int_expr_long_chain_is_not_recursive():
+    assert cli.eval_int_expr("+".join(["1"] * 1500), {}) == 1500
+    assert cli.eval_int_expr("*".join(["r"] * 1500), {"r": 1}) == 1
+
+
+def test_eval_int_expr_nesting_limit():
+    env = {"r": 2}
+    depth = cli.MAX_NESTING
+    assert cli.eval_int_expr("(" * depth + "r" + ")" * depth, env) == 2
+    assert cli.eval_int_expr("-" * depth + "r", env) == 2
+    depth += 1
+    for text in ("(" * depth + "r" + ")" * depth, "-" * depth + "r"):
+        with pytest.raises(ValueError, match="nests deeper than"):
+            cli.eval_int_expr(text, env)
+
+
+def test_deep_nesting_exits_2(capsys):
+    mu = "(" * 400 + "2" + ")" * 400 + ",2"
+    assert cli.main(["count", "--g", "3", "--r", "2", "--d", "4", "--mu", mu]) == 2
+    assert "error:" in capsys.readouterr().err
+    mu = "(" * 50 + "2" + ")" * 50 + ",2"
+    code, out = run(["count", "--g", "3", "--r", "2", "--d", "4", "--mu", mu], capsys)
+    assert code == 0
+    assert "result=28" in out
+
+
+def test_partition_spec_bounds_parts_before_allocating():
+    with pytest.raises(ValueError, match=r"partition item '1\^999999999' takes the partition past 1000000 parts"):
+        cli.parse_partition_spec("2,1^999999999", {})
+    assert len(cli.parse_partition_spec(f"1^{cli.MAX_PARTS}", {})) == cli.MAX_PARTS
+
+
+def test_partition_spec_first_error_wins():
+    # the empty item is a compile error, but the per-env check of the item
+    # before it comes first, as when each item was read in turn
+    compiled = cli.compile_partition_spec("2^(r-9),,1", ("g", "r", "d"))
+    with pytest.raises(ValueError, match="negative multiplicity -7"):
+        compiled({"g": 0, "r": 2, "d": 0})
+    with pytest.raises(ValueError, match="empty item"):
+        compiled({"g": 0, "r": 9, "d": 0})
+
+
+# ---------------------------------------------------------------------------
+# oracle: the interpreting parser that evaluated each expression as it read
+# it.  Slow, since it re-reads the text for every env, but independent of
+# the compiler in cli.
+# ---------------------------------------------------------------------------
+
+
+def oracle_tokenize(text):
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        elif c.isalpha():
+            j = i
+            while j < len(text) and text[j].isalpha():
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        elif c in "+-*()":
+            tokens.append(c)
+            i += 1
+        else:
+            raise ValueError(f"unexpected character {c!r} in expression {text!r}")
+    return tokens
+
+
+def oracle_eval_int_expr(text, env):
+    tokens = oracle_tokenize(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def atom():
+        tok = peek()
+        if tok is None:
+            raise ValueError(f"unexpected end of expression {text!r}")
+        if tok == "-":
+            take()
+            return -atom()
+        if tok == "(":
+            take()
+            value = expr()
+            if peek() != ")":
+                raise ValueError(f"missing ')' in expression {text!r}")
+            take()
+            return value
+        take()
+        if tok.isdigit():
+            return int(tok)
+        if tok in env:
+            return env[tok]
+        raise ValueError(f"unknown variable {tok!r} in expression {text!r}")
+
+    def term():
+        value = atom()
+        while peek() == "*":
+            take()
+            value *= atom()
+        return value
+
+    def expr():
+        value = term()
+        while peek() in ("+", "-"):
+            if take() == "+":
+                value += term()
+            else:
+                value -= term()
+        return value
+
+    result = expr()
+    if pos != len(tokens):
+        raise ValueError(f"trailing tokens {tokens[pos:]} in expression {text!r}")
+    return result
+
+
+def oracle_parse_partition_spec(spec, env):
+    parts = []
+    for item in spec.split(","):
+        item = item.strip()
+        if not item:
+            raise ValueError(f"empty item in partition spec {spec!r}")
+        if "^" in item:
+            base_text, exp_text = item.split("^", 1)
+            base = oracle_eval_int_expr(base_text, env)
+            exp = oracle_eval_int_expr(exp_text, env)
+        else:
+            base = oracle_eval_int_expr(item, env)
+            exp = 1
+        if exp < 0:
+            raise ValueError(f"partition item {item!r} has negative multiplicity {exp}")
+        if exp > 0 and base < 1:
+            raise ValueError(f"partition item {item!r} has non-positive part {base}")
+        parts.extend([base] * exp)
+    return Partition(parts)
+
+
+def oracle_parse_f_spec(spec, env, mu):
+    env = dict(env, e=mu.length, s=mu.total)
+    if spec.startswith("span="):
+        return mu.total - oracle_eval_int_expr(spec[len("span="):], env) - 1
+    return oracle_eval_int_expr(spec, env)
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# Numbers of at most two digits: a product of a few of them is far below
+# cli.MAX_PARTS, so no case allocates a large partition in either parser.
+spec_texts = st.lists(
+    st.sampled_from(list("0123456789grdesx+-*()^,") + ["span=", " "]), max_size=10,
+).map("".join).filter(lambda text: not re.search(r"\d{3}", text))
+envs = st.fixed_dictionaries({name: st.integers(-3, 6) for name in "grd"})
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec_texts, st.lists(envs, min_size=1, max_size=3), st.lists(st.integers(1, 4), max_size=4))
+def test_compiled_specs_match_interpreting_oracle(text, cells, parts):
+    mu = Partition(parts)
+    compiled_mu = cli.compile_partition_spec(text, ("g", "r", "d"))
+    compiled_f = cli.compile_f_spec(text, ("g", "r", "d"))
+    for env in cells:  # one compiled form serves every cell, as in a sweep
+        expected_mu = outcome(oracle_parse_partition_spec, text, env)
+        assert outcome(compiled_mu, env) == expected_mu
+        assert outcome(cli.parse_partition_spec, text, env) == expected_mu
+        expected_f = outcome(oracle_parse_f_spec, text, env, mu)
+        assert outcome(compiled_f, env, mu) == expected_f
+        assert outcome(cli.parse_f_spec, text, env, mu) == expected_f
 
 
 def test_parse_range():
@@ -196,6 +389,19 @@ def test_integrality_violation_exits_3(capsys, monkeypatch):
     assert record["status"].startswith("integrality violation")
 
 
+def test_plucker_integrality_violation_exits_3(capsys, monkeypatch):
+    def broken(g, r, d, mu, path="coefficient"):
+        raise IntegralityError("2 does not divide 57")
+
+    monkeypatch.setattr(dejonq, "dj_count", broken)
+    code, out = run(["plucker", "--g", "3", "--r", "2", "--d", "4", "--format", "json"], capsys)
+    assert code == 3
+    record = json.loads(out)
+    assert record["result"] is None
+    assert record["cross_check_delta"] is None
+    assert record["status"] == "integrality violation: 2 does not divide 57"
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -253,6 +459,16 @@ def test_sweep_empty_grid(capsys):
     assert [record["inputs"]["g"] for record in ok] == [0, 1, 2, 3]
     assert [record["inputs"]["g"] for record in skipped] == [4, 5, 6]
     assert all(record["result"] is False for record in ok)
+
+
+def test_sweep_skips_with_the_first_error_of_each_cell(capsys):
+    code, out = run(["sweep", "--g", "0", "--r", "1:3", "--d", "4", "--mu", "2^(r-2),,1", "--format", "json"], capsys)
+    assert code == 0
+    assert [record["status"] for record in json.loads(out)] == [
+        "skipped: partition item '2^(r-2)' has negative multiplicity -1",
+        "skipped: empty item in partition spec '2^(r-2),,1'",
+        "skipped: empty item in partition spec '2^(r-2),,1'",
+    ]
 
 
 def test_sweep_requires_f_for_dim(capsys):

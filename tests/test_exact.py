@@ -93,7 +93,7 @@ def test_partition_symmetry_factor():
     assert Partition([]).symmetry_factor == 1
 
 
-@pytest.mark.parametrize("bad", [[0], [-1], [2, 0], [1.5]])
+@pytest.mark.parametrize("bad", [[0], [-1], [2, 0], [1.5], [True, 2]])
 def test_partition_rejects_invalid_parts(bad):
     with pytest.raises(ValueError):
         Partition(bad)
