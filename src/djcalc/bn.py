@@ -17,10 +17,13 @@ required to agree with the general predicate at its (mu, f) specialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ContractViolation, HypothesisViolation
 from .exact import Partition
-from .lls import RamificationSequence
+
+if TYPE_CHECKING:
+    from .lls import RamificationSequence
 
 __all__ = [
     "SeriesParams",

@@ -65,6 +65,10 @@ MAX_NESTING = 100
 # are allocated.
 MAX_PARTS = 1_000_000
 
+# The most parts a count takes: the bracket route is O(e^3), and at this
+# length it still takes about a second.
+MAX_COUNT_PARTS = 300
+
 
 def compile_int_expr(text: str, names: Container[str]) -> Callable[[dict[str, int]], int]:
     """Compile an integer expression over +, -, *, parentheses and the
@@ -278,22 +282,15 @@ def _mu_text(mu: Partition) -> str:
     return ",".join(str(a) for a in mu.parts)
 
 
-def _verdict(g: int, r: int, d: int, mu: Partition, f: int):
-    """Emptiness verdict of the dimension theorem at (mu, f), or None when the
-    parameters fall outside its hypotheses."""
-    try:
-        problem = bn.DJProblem(bn.SeriesParams(g, r, d), mu, f)
-        return "empty" if bn.is_empty_for_general_curve(problem) else "possible"
-    except ValueError:
-        return None
+def _dimension(g: int, r: int, d: int, mu: Partition, f: int) -> int:
+    return bn.expected_dim_sigma(bn.DJProblem(bn.SeriesParams(g, r, d), mu, f))
 
 
-# ---------------------------------------------------------------------------
-# commands: each returns (records, exit_code)
-# ---------------------------------------------------------------------------
+def _verdict(dim: int) -> str:
+    return "empty" if dim < 0 else "possible"
 
-def _count_record(g: int, r: int, d: int, mu: Partition):
-    inputs = {"g": g, "r": r, "d": d, "mu": _mu_text(mu)}
+
+def _count_record(inputs, g: int, r: int, d: int, mu: Partition):
     paths = ["bracket", "coefficient"]
     try:
         by_coeff = dejonq.dj_count(g, r, d, mu, path="coefficient")
@@ -302,37 +299,73 @@ def _count_record(g: int, r: int, d: int, mu: Partition):
         return _record(inputs, None, paths, None, f"integrality violation: {exc}", None), 3
     delta = by_bracket.value - by_coeff.value
     status = "ok" if delta == 0 else "cross-check failed: bracket and coefficient paths disagree"
-    verdict = _verdict(g, r, d, mu, d - r)
+    try:  # the dimension theorem at f = d - r, when its hypotheses hold
+        verdict = _verdict(_dimension(g, r, d, mu, d - r))
+    except ValueError:
+        verdict = None
     return _record(inputs, by_coeff.value, paths, delta, status, verdict), (0 if delta == 0 else 3)
 
 
-def _cmd_count(args):
-    env = {"g": args.g, "r": args.r, "d": args.d}
-    mu = parse_partition_spec(args.mu, env)
-    record, code = _count_record(args.g, args.r, args.d, mu)
-    return [record], code
+def evaluate_cell(
+    what: str, g: int, r: int, d: int,
+    mu_spec: str, mu_of: Callable[[dict[str, int]], Partition],
+    f_spec: str | None, f_of: Callable[[dict[str, int], Partition], int] | None,
+):
+    """One (g, r, d) cell of a count, dim or empty request, from the compiled
+    specs `mu_of` and `f_of`: returns (record, exit code, error).
+
+    A cell that fails validation gives a `skipped: <message>` record, exit
+    code 0 and the ValueError.  The record's inputs show each spec's text
+    until it evaluates, then its value.
+    """
+    env = {"g": g, "r": r, "d": d}
+    inputs = {"g": g, "r": r, "d": d, "mu": mu_spec}
+    if what != "count":
+        inputs["f"] = f_spec
+    try:
+        mu = mu_of(env)
+        inputs["mu"] = _mu_text(mu)
+        if what == "count":
+            if mu.length > MAX_COUNT_PARTS:
+                raise ValueError(f"a count takes at most {MAX_COUNT_PARTS} parts, got {mu.length}")
+            record, code = _count_record(inputs, g, r, d, mu)
+            return record, code, None
+        f = f_of(env, mu)
+        inputs["f"] = f
+        dim = _dimension(g, r, d, mu, f)
+    except ValueError as exc:
+        return _record(inputs, None, [], None, f"skipped: {exc}", None), 0, exc
+    result = dim if what == "dim" else dim < 0
+    return _record(inputs, result, ["dimension"], None, "ok", _verdict(dim)), 0, None
 
 
-def _cmd_dim(args):
-    env = {"g": args.g, "r": args.r, "d": args.d}
-    mu = parse_partition_spec(args.mu, env)
-    f = parse_f_spec(args.f, env, mu)
-    problem = bn.DJProblem(bn.SeriesParams(args.g, args.r, args.d), mu, f)
-    dim = bn.expected_dim_sigma(problem)
-    inputs = {"g": args.g, "r": args.r, "d": args.d, "mu": _mu_text(mu), "f": f}
-    verdict = "empty" if dim < 0 else "possible"
-    return [_record(inputs, dim, ["dimension"], None, "ok", verdict)], 0
+# ---------------------------------------------------------------------------
+# commands: each returns (records, exit_code)
+# ---------------------------------------------------------------------------
 
-
-def _cmd_empty(args):
-    env = {"g": args.g, "r": args.r, "d": args.d}
-    mu = parse_partition_spec(args.mu, env)
-    f = parse_f_spec(args.f, env, mu)
-    problem = bn.DJProblem(bn.SeriesParams(args.g, args.r, args.d), mu, f)
-    empty = bn.is_empty_for_general_curve(problem)
-    inputs = {"g": args.g, "r": args.r, "d": args.d, "mu": _mu_text(mu), "f": f}
-    verdict = "empty" if empty else "possible"
-    return [_record(inputs, empty, ["dimension"], None, "ok", verdict)], 0
+def _cmd_cells(args):
+    """count, dim, empty and sweep: the cells of a (g, r, d) grid in
+    lexicographic order.  A single command is the 1x1x1 grid, and raises its
+    cell's validation error where a sweep emits the skipped record."""
+    sweep = args.command == "sweep"
+    if sweep:
+        what, grid = args.what, (parse_range(args.g), parse_range(args.r), parse_range(args.d))
+    else:
+        what, grid = args.command, ((args.g,), (args.r,), (args.d,))
+    names = ("g", "r", "d")
+    mu_of = compile_partition_spec(args.mu, names)
+    f_of = None if what == "count" else compile_f_spec(args.f, names)
+    records = []
+    code = 0
+    for g in grid[0]:
+        for r in grid[1]:
+            for d in grid[2]:
+                record, cell_code, error = evaluate_cell(what, g, r, d, args.mu, mu_of, args.f, f_of)
+                if error is not None and not sweep:
+                    raise error
+                records.append(record)
+                code = max(code, cell_code)
+    return records, code
 
 
 def _cmd_plucker(args):
@@ -364,56 +397,13 @@ def _cmd_identity(args):
     return [record], (0 if failures == 0 else 3)
 
 
-def _cmd_sweep(args):
-    records = []
-    code = 0
-    names = ("g", "r", "d")
-    mu_of = compile_partition_spec(args.mu, names)
-    if args.what in ("dim", "empty"):
-        f_of = compile_f_spec(args.f, names)
-    for g in parse_range(args.g):
-        for r in parse_range(args.r):
-            for d in parse_range(args.d):
-                env = {"g": g, "r": r, "d": d}
-                inputs = {"g": g, "r": r, "d": d, "mu": args.mu}
-                if args.what in ("dim", "empty"):
-                    inputs["f"] = args.f
-                try:
-                    mu = mu_of(env)
-                except ValueError as exc:
-                    records.append(_record(inputs, None, [], None, f"skipped: {exc}", None))
-                    continue
-                inputs["mu"] = _mu_text(mu)
-                if args.what == "count":
-                    try:
-                        record, row_code = _count_record(g, r, d, mu)
-                    except ContractViolation as exc:
-                        records.append(_record(inputs, None, [], None, f"skipped: {exc}", None))
-                        continue
-                    records.append(record)
-                    code = max(code, row_code)
-                    continue
-                try:
-                    f = f_of(env, mu)
-                    inputs["f"] = f
-                    problem = bn.DJProblem(bn.SeriesParams(g, r, d), mu, f)
-                    dim = bn.expected_dim_sigma(problem)
-                except ValueError as exc:
-                    records.append(_record(inputs, None, [], None, f"skipped: {exc}", None))
-                    continue
-                verdict = "empty" if dim < 0 else "possible"
-                result = dim if args.what == "dim" else dim < 0
-                records.append(_record(inputs, result, ["dimension"], None, "ok", verdict))
-    return records, code
-
-
 COMMANDS = {
-    "count": _cmd_count,
-    "dim": _cmd_dim,
-    "empty": _cmd_empty,
+    "count": _cmd_cells,
+    "dim": _cmd_cells,
+    "empty": _cmd_cells,
     "plucker": _cmd_plucker,
     "identity": _cmd_identity,
-    "sweep": _cmd_sweep,
+    "sweep": _cmd_cells,
 }
 
 
@@ -485,33 +475,28 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=FORMATS, default="plain")
 
-    p = sub.add_parser("count", help="contact-divisor count via both evaluation paths")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    series = argparse.ArgumentParser(add_help=False)
+    for name in ("--g", "--r", "--d"):
+        series.add_argument(name, type=int, required=True)
+
+    p = sub.add_parser("count", parents=[series], help="contact-divisor count via both evaluation paths")
     p.add_argument("--mu", required=True, help="partition, e.g. '2,2' or '2^3,1^2'")
+    p.set_defaults(f=None)
     add_format(p)
 
-    p = sub.add_parser("dim", help="expected dimension of the universal secant locus")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser("dim", parents=[series], help="expected dimension of the universal secant locus")
     p.add_argument("--mu", required=True)
     p.add_argument("--f", required=True, help="rank deficiency: integer, expression, or 'span=<s>'")
     add_format(p)
 
-    p = sub.add_parser("empty", help="is the secant locus empty for every series on a general curve?")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser(
+        "empty", parents=[series], help="is the secant locus empty for every series on a general curve?"
+    )
     p.add_argument("--mu", required=True)
     p.add_argument("--f", required=True)
     add_format(p)
 
-    p = sub.add_parser("plucker", help="simple-ramification count against the closed-form total")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser("plucker", parents=[series], help="simple-ramification count against the closed-form total")
     add_format(p)
 
     p = sub.add_parser("identity", help="randomized check of the dimension-count identity")

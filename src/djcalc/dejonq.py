@@ -167,7 +167,10 @@ def plucker_total(g: int, r: int, d: int) -> int:
 def ramification_count_check(g: int, r: int, d: int) -> tuple[int, int]:
     """The simple-ramification count both ways: the contact-divisor count for
     mu = (r+1, 1^(d-r-1)) next to the closed-form total.  The entries agree.
+    The total holds for a series, so r >= 1.
     """
+    if r < 1:
+        raise ContractViolation(f"ramification_count_check requires r >= 1, got r={r}")
     if d < r + 1:
         raise ContractViolation(f"ramification_count_check requires d >= r+1, got d={d}, r={r}")
     mu = Partition((r + 1,) + (1,) * (d - r - 1))

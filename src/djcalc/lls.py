@@ -12,13 +12,12 @@ separate type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from operator import le, lt
+from typing import Iterable, Sequence
 
+from .bn import SeriesParams, rho_raw
 from .dejonq import plucker_total
 from .exact import Partition
-
-if TYPE_CHECKING:
-    from .bn import SeriesParams
 
 __all__ = [
     "VanishingSequence",
@@ -36,6 +35,23 @@ __all__ = [
 ]
 
 
+def _init_sequence(seq, kind: str, entries: Iterable[int], d: int, strict: bool) -> None:
+    """Validate and store the entries of a vanishing sequence (strict, top
+    entry at most d) or of a ramification sequence (weak, top at most d-r)."""
+    entries = tuple(entries)
+    if not entries:
+        raise ValueError(f"{kind} sequence must have length r+1 >= 1")
+    out_of_order = le if strict else lt
+    for prev, cur in zip(entries, entries[1:]):
+        if out_of_order(cur, prev):
+            raise ValueError(f"{kind} sequence must {'strictly' if strict else 'weakly'} increase, got {entries}")
+    top = d if strict else d - (len(entries) - 1)
+    if entries[0] < 0 or entries[-1] > top:
+        raise ValueError(f"{kind} sequence {entries} out of range [0, {top}]")
+    object.__setattr__(seq, "entries", entries)
+    object.__setattr__(seq, "d", d)
+
+
 @dataclass(frozen=True)
 class VanishingSequence:
     """Strictly increasing vanishing orders a_0 < ... < a_r in [0, d]."""
@@ -44,16 +60,7 @@ class VanishingSequence:
     d: int = 0
 
     def __init__(self, entries: Iterable[int], d: int) -> None:
-        entries = tuple(entries)
-        if not entries:
-            raise ValueError("vanishing sequence must have length r+1 >= 1")
-        for prev, cur in zip(entries, entries[1:]):
-            if cur <= prev:
-                raise ValueError(f"vanishing sequence must strictly increase, got {entries}")
-        if entries[0] < 0 or entries[-1] > d:
-            raise ValueError(f"vanishing sequence {entries} out of range [0, {d}]")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "d", d)
+        _init_sequence(self, "vanishing", entries, d, strict=True)
 
     @property
     def r(self) -> int:
@@ -68,17 +75,7 @@ class RamificationSequence:
     d: int = 0
 
     def __init__(self, entries: Iterable[int], d: int) -> None:
-        entries = tuple(entries)
-        if not entries:
-            raise ValueError("ramification sequence must have length r+1 >= 1")
-        r = len(entries) - 1
-        for prev, cur in zip(entries, entries[1:]):
-            if cur < prev:
-                raise ValueError(f"ramification sequence must weakly increase, got {entries}")
-        if entries[0] < 0 or entries[-1] > d - r:
-            raise ValueError(f"ramification sequence {entries} out of range [0, {d - r}]")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "d", d)
+        _init_sequence(self, "ramification", entries, d, strict=False)
 
     @property
     def r(self) -> int:
@@ -175,11 +172,6 @@ def case_ii_min_sequence(mu: Partition, f: int, r: int, d: int | None = None) ->
     return VanishingSequence(entries, d)
 
 
-def _rho(g: int, r: int, d: int) -> int:
-    # raw polynomial, no sign or range checks: the identity below is algebraic
-    return g - (r + 1) * (g - d + r)
-
-
 def proof_identity(g: int, m: int, r: int, d: int, mu_total: int, f: int) -> tuple[int, int]:
     """Both sides of the dimension-count bookkeeping identity; they are equal
     for ALL integer inputs.
@@ -190,18 +182,19 @@ def proof_identity(g: int, m: int, r: int, d: int, mu_total: int, f: int) -> tup
     """
     s = mu_total
     q = r - s + f
+    # rho_raw has no sign or range checks: the identity is algebraic
     # C(n,2) written as n(n-1)//2: exact for every integer n, and cheap enough
     # for the exhaustive-box verification
     lhs = (
-        _rho(g - m, r, d)
-        + _rho(m, q, d - s)
-        + _rho(m, s - f - 1, d)
+        rho_raw(g - m, r, d)
+        + rho_raw(m, q, d - s)
+        + rho_raw(m, s - f - 1, d)
         - (r + 1) * d
         + (r + 1) * r // 2
         + (q + 1) * q // 2
         + (s - f) * (s - f - 1) // 2
     )
-    rhs = _rho(g, r, d) - f * (q + 1) + m
+    rhs = rho_raw(g, r, d) - f * (q + 1) + m
     return lhs, rhs
 
 

@@ -7,12 +7,15 @@ All tolerances are zero; the arithmetic is exact.  Run with
 to see the per-criterion lines on stdout.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
 from itertools import combinations_with_replacement
+from pathlib import Path
 
+import djcalc
 from djcalc.bn import (
     DJProblem,
     SeriesParams,
@@ -241,9 +244,12 @@ def test_criterion_11_sweep_determinism():
         "--g", "0:6", "--r", "1:3", "--d", "1:10",
         "--mu", "2^r,1^(d-2*r)", "--format", "json",
     ]
+    # the child runs the djcalc this test imported, installed or not
+    package_root = str(Path(djcalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     start = time.monotonic()
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     elapsed = time.monotonic() - start
     ok = first.returncode == 0 and second.returncode == 0
     ok &= first.stdout == second.stdout and len(first.stdout) > 0

@@ -350,6 +350,35 @@ def test_out_of_range_f_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_plucker_without_a_series_exits_2(capsys):
+    # r = 0 is no series: a bad input, not a cross-check failure
+    assert cli.main(["plucker", "--g", "2", "--r", "0", "--d", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ramification_count_check requires r >= 1, got r=0\n"
+
+
+def test_count_part_limit(capsys, monkeypatch):
+    limit = cli.MAX_COUNT_PARTS
+    message = f"a count takes at most {limit} parts, got {limit + 1}"
+    argv = ["--g", "0", "--r", "1", "--d", str(limit + 2)]
+    assert cli.main(["count", *argv, "--mu", f"2,1^{limit}"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    code, out = run(["sweep", *argv, "--mu", "2,1^(d-2)", "--format", "json"], capsys)
+    assert code == 0
+    [row] = json.loads(out)
+    assert row["status"] == f"skipped: {message}"
+    assert row["inputs"]["mu"] == "2" + ",1" * limit
+    # a partition at the limit is counted; checked at a small limit, since
+    # the bracket route takes about a second at 300 parts
+    monkeypatch.setattr(cli, "MAX_COUNT_PARTS", 3)
+    code, out = run(["sweep", "--g", "0", "--r", "1", "--d", "4:5", "--mu", "2,1^(d-2)", "--format", "json"], capsys)
+    assert code == 0
+    at, above = json.loads(out)
+    assert (at["status"], at["result"]) == ("ok", 6)  # 2g - 2 + 2d tangents of a pencil, at g = 0
+    assert above["status"] == "skipped: a count takes at most 3 parts, got 4"
+
+
 def test_negative_rho_single_command_exits_2(capsys):
     assert cli.main(["dim", "--g", "8", "--r", "3", "--d", "8", "--mu", "2,2", "--f", "2"]) == 2
     assert "rho" in capsys.readouterr().err

@@ -272,6 +272,9 @@ def test_ramification_count_check():
     assert left == right
     with pytest.raises(ContractViolation):
         ramification_count_check(2, 3, 3)
+    # a g^0_d is not a series; the Pluecker total does not apply
+    with pytest.raises(ContractViolation, match="requires r >= 1, got r=0"):
+        ramification_count_check(2, 0, 3)
 
 
 def test_ramification_count_grid():

@@ -32,17 +32,21 @@ def vanishing_sequences(draw, max_r=7, max_d=14):
 
 def test_sequence_validation():
     VanishingSequence((0, 2, 3), 3)
-    with pytest.raises(ValueError):
-        VanishingSequence((0, 0, 3), 3)  # not strict
-    with pytest.raises(ValueError):
-        VanishingSequence((0, 4), 3)  # exceeds d
-    with pytest.raises(ValueError):
-        VanishingSequence((-1, 2), 3)
     RamificationSequence((0, 0, 1), 3)
-    with pytest.raises(ValueError):
-        RamificationSequence((1, 0), 3)  # not weakly increasing
-    with pytest.raises(ValueError):
-        RamificationSequence((0, 2), 2)  # exceeds d-r
+    cases = [
+        (lambda: VanishingSequence((), 3), "vanishing sequence must have length r+1 >= 1"),
+        (lambda: VanishingSequence((0, 0, 3), 3), "vanishing sequence must strictly increase, got (0, 0, 3)"),
+        (lambda: VanishingSequence((0, 4), 3), "vanishing sequence (0, 4) out of range [0, 3]"),  # exceeds d
+        (lambda: VanishingSequence((-1, 2), 3), "vanishing sequence (-1, 2) out of range [0, 3]"),
+        (lambda: RamificationSequence((), 3), "ramification sequence must have length r+1 >= 1"),
+        (lambda: RamificationSequence((1, 0), 3), "ramification sequence must weakly increase, got (1, 0)"),
+        (lambda: RamificationSequence((0, 2), 2), "ramification sequence (0, 2) out of range [0, 1]"),  # exceeds d-r
+        (lambda: RamificationSequence((-1, 0), 2), "ramification sequence (-1, 0) out of range [0, 1]"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError) as raised:
+            make()
+        assert str(raised.value) == message
 
 
 def test_ramification_from_vanishing_examples():
