@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Callable, Container, Iterable
+from typing import Callable, Collection, Container, Iterable
 
 from . import bn, dejonq, lls
 from .errors import ContractViolation, HypothesisViolation, IntegralityError
@@ -70,13 +70,16 @@ MAX_PARTS = 1_000_000
 MAX_COUNT_PARTS = 300
 
 
-def compile_int_expr(text: str, names: Container[str]) -> Callable[[dict[str, int]], int]:
+def compile_int_expr(
+    text: str, names: Container[str]
+) -> tuple[Callable[[dict[str, int]], int], frozenset[str]]:
     """Compile an integer expression over +, -, *, parentheses and the
     variables in `names` (e.g. g, r, d) into a function of an env that binds
-    every name.  Syntax errors and unknown variables raise ValueError here,
-    never at evaluation time."""
+    every name, and the set of names the expression reads.  Syntax errors
+    and unknown variables raise ValueError here, never at evaluation time."""
     tokens = _tokenize(text)
     pos = 0
+    reads: set[str] = set()
 
     def peek() -> str | None:
         return tokens[pos] if pos < len(tokens) else None
@@ -112,6 +115,7 @@ def compile_int_expr(text: str, names: Container[str]) -> Callable[[dict[str, in
         if tok.isdigit():
             return int(tok)
         if tok in names:
+            reads.add(tok)
             return itemgetter(tok)
         raise ValueError(f"unknown variable {tok!r} in expression {text!r}")
 
@@ -167,15 +171,15 @@ def compile_int_expr(text: str, names: Container[str]) -> Callable[[dict[str, in
     result = expr(0)
     if pos != len(tokens):
         raise ValueError(f"trailing tokens {tokens[pos:]} in expression {text!r}")
-    if isinstance(result, int):
-        return lambda env: result
-    return result
+    value_of = (lambda env: result) if isinstance(result, int) else result
+    return value_of, frozenset(reads)
 
 
 def eval_int_expr(text: str, env: dict[str, int]) -> int:
     """Evaluate an integer expression over +, -, *, parentheses and the
     variables in `env` (e.g. g, r, d)."""
-    return compile_int_expr(text, env)(env)
+    value_of, _ = compile_int_expr(text, env)
+    return value_of(env)
 
 
 def _raiser(message: str):
@@ -184,11 +188,21 @@ def _raiser(message: str):
     return fail
 
 
-def compile_partition_spec(spec: str, names: Container[str]) -> Callable[[dict[str, int]], Partition]:
+def compile_partition_spec(
+    spec: str, names: Collection[str]
+) -> Callable[[dict[str, int]], tuple[Partition, str]]:
     """Compile a partition spec (see parse_partition_spec) into a function of
-    env.  A compile error in an item is raised only when evaluation reaches
-    that item, so the earlier items' checks come first, item by item."""
+    env that returns the partition and its record text.  A compile error in
+    an item is raised only when evaluation reaches that item, so the earlier
+    items' checks come first, item by item.
+
+    The function memoizes its value, or its ValueError's message, on the
+    values of the variables the spec reads, unless it reads all of `names`,
+    since no key could then repeat.  The memo lives as long as the function,
+    which serves one request.
+    """
     items = []
+    reads: set[str] = set()
     for item in spec.split(","):
         item = item.strip()
         try:
@@ -196,16 +210,18 @@ def compile_partition_spec(spec: str, names: Container[str]) -> Callable[[dict[s
                 raise ValueError(f"empty item in partition spec {spec!r}")
             if "^" in item:
                 base_text, exp_text = item.split("^", 1)
-                base = compile_int_expr(base_text, names)
-                exp = compile_int_expr(exp_text, names)
+                base, base_reads = compile_int_expr(base_text, names)
+                exp, exp_reads = compile_int_expr(exp_text, names)
+                reads |= base_reads | exp_reads
             else:
-                base = compile_int_expr(item, names)
+                base, base_reads = compile_int_expr(item, names)
                 exp = None
+                reads |= base_reads
         except ValueError as exc:
             base, exp = _raiser(str(exc)), None
         items.append((item, base, exp))
 
-    def partition(env: dict[str, int]) -> Partition:
+    def partition(env: dict[str, int]) -> tuple[Partition, str]:
         parts: list[int] = []
         for item, base_of, exp_of in items:
             base = base_of(env)
@@ -217,8 +233,28 @@ def compile_partition_spec(spec: str, names: Container[str]) -> Callable[[dict[s
             if len(parts) + exp > MAX_PARTS:
                 raise ValueError(f"partition item {item!r} takes the partition past {MAX_PARTS} parts")
             parts.extend([base] * exp)
-        return Partition(parts)
-    return partition
+        mu = Partition(parts)
+        return mu, _mu_text(mu)
+
+    if reads >= set(names):
+        return partition
+    key_of = itemgetter(*sorted(reads)) if reads else (lambda env: None)
+    memo: dict[object, tuple[Partition, str] | str] = {}
+
+    def memoized(env: dict[str, int]) -> tuple[Partition, str]:
+        key = key_of(env)
+        entry = memo.get(key)
+        if entry is None:
+            try:
+                entry = memo[key] = partition(env)
+            except ValueError as exc:
+                memo[key] = str(exc)
+                raise
+        elif isinstance(entry, str):
+            # a fresh exception: re-raising a stored one would lengthen its traceback
+            raise ValueError(entry)
+        return entry
+    return memoized
 
 
 def parse_partition_spec(spec: str, env: dict[str, int]) -> Partition:
@@ -227,7 +263,8 @@ def parse_partition_spec(spec: str, env: dict[str, int]) -> Partition:
     part; negative exponents, non-positive parts and specs of more than
     MAX_PARTS parts are rejected.
     """
-    return compile_partition_spec(spec, env)(env)
+    mu, _ = compile_partition_spec(spec, env)(env)
+    return mu
 
 
 def compile_f_spec(spec: str, names: Iterable[str]) -> Callable[[dict[str, int], Partition], int]:
@@ -235,7 +272,7 @@ def compile_f_spec(spec: str, names: Iterable[str]) -> Callable[[dict[str, int],
     A compile error is raised when the function is called."""
     span = spec.startswith("span=")
     try:
-        value_of = compile_int_expr(spec[len("span="):] if span else spec, {*names, "e", "s"})
+        value_of, _ = compile_int_expr(spec[len("span="):] if span else spec, {*names, "e", "s"})
     except ValueError as exc:
         return _raiser(str(exc))
 
@@ -290,6 +327,11 @@ def _verdict(dim: int) -> str:
     return "empty" if dim < 0 else "possible"
 
 
+def _check_count_parts(e: int) -> None:
+    if e > MAX_COUNT_PARTS:
+        raise ValueError(f"a count takes at most {MAX_COUNT_PARTS} parts, got {e}")
+
+
 def _count_record(inputs, g: int, r: int, d: int, mu: Partition):
     paths = ["bracket", "coefficient"]
     try:
@@ -308,11 +350,12 @@ def _count_record(inputs, g: int, r: int, d: int, mu: Partition):
 
 def evaluate_cell(
     what: str, g: int, r: int, d: int,
-    mu_spec: str, mu_of: Callable[[dict[str, int]], Partition],
+    mu_spec: str, mu_of: Callable[[dict[str, int]], tuple[Partition, str]],
     f_spec: str | None, f_of: Callable[[dict[str, int], Partition], int] | None,
 ):
     """One (g, r, d) cell of a count, dim or empty request, from the compiled
-    specs `mu_of` and `f_of`: returns (record, exit code, error).
+    specs `mu_of` (the partition and its record text) and `f_of`: returns
+    (record, exit code, error).
 
     A cell that fails validation gives a `skipped: <message>` record, exit
     code 0 and the ValueError.  The record's inputs show each spec's text
@@ -323,11 +366,9 @@ def evaluate_cell(
     if what != "count":
         inputs["f"] = f_spec
     try:
-        mu = mu_of(env)
-        inputs["mu"] = _mu_text(mu)
+        mu, inputs["mu"] = mu_of(env)
         if what == "count":
-            if mu.length > MAX_COUNT_PARTS:
-                raise ValueError(f"a count takes at most {MAX_COUNT_PARTS} parts, got {mu.length}")
+            _check_count_parts(mu.length)
             record, code = _count_record(inputs, g, r, d, mu)
             return record, code, None
         f = f_of(env, mu)
@@ -372,6 +413,7 @@ def _cmd_plucker(args):
     g, r, d = args.g, args.r, args.d
     inputs = {"g": g, "r": r, "d": d}
     paths = ["coefficient", "closed_form"]
+    _check_count_parts(d - r)  # the count has mu = (r+1, 1^(d-r-1))
     try:
         counted, closed = dejonq.ramification_count_check(g, r, d)
     except IntegralityError as exc:
@@ -431,10 +473,65 @@ def _plain_line(record) -> str:
     return " ".join(bits)
 
 
+# How json.dumps writes each leaf type of a record.
+_JSON_LEAF = {
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_record_template(keys: tuple[str, ...], pad: str) -> str:
+    """The layout json.dumps(..., indent=2) gives a `_record` with these input
+    keys, indented by `pad`: a %-template with one %s per input value, then
+    one each for result, paths, cross_check_delta, status and verdict."""
+    inputs = ",".join(f"\n{pad}    {encode_basestring_ascii(key)}: %s" for key in keys)
+    return (
+        f'{pad}{{\n{pad}  "inputs": {{{inputs}\n{pad}  }},\n{pad}  "result": %s,\n{pad}  "paths": %s,\n'
+        f'{pad}  "cross_check_delta": %s,\n{pad}  "status": %s,\n{pad}  "verdict": %s\n{pad}}}'
+    )
+
+
+def _json_list(strings, pad: str) -> str:
+    """A list of strings as a record field, as json.dumps(..., indent=2) writes it."""
+    if not strings:
+        return "[]"
+    newline = f"\n{pad}    "
+    items = f",{newline}".join(map(encode_basestring_ascii, strings))
+    return f"[{newline}{items}\n{pad}  ]"
+
+
+def _json_records(records, many: bool) -> str:
+    """json.dumps(records if many else records[0], indent=2), written
+    through one template per tuple of input keys; the pure-Python encoder
+    that json.dumps uses for indented output costs more than the cells."""
+    pad = "  " if many else ""
+    leaf = _JSON_LEAF
+    templates = {}
+    chunks = []
+    for record in records if many else records[:1]:
+        inputs = record["inputs"]
+        keys = tuple(inputs)
+        template = templates.get(keys)
+        if template is None:
+            template = templates[keys] = _json_record_template(keys, pad)
+        result, delta, status, verdict = (
+            record["result"], record["cross_check_delta"], record["status"], record["verdict"]
+        )
+        chunks.append(template % (
+            *[leaf[type(value)](value) for value in inputs.values()],
+            leaf[type(result)](result), _json_list(record["paths"], pad), leaf[type(delta)](delta),
+            leaf[type(status)](status), leaf[type(verdict)](verdict),
+        ))
+    if many:
+        return "[\n" + ",\n".join(chunks) + "\n]\n"
+    return chunks[0] + "\n"
+
+
 def render(records, fmt: str, many: bool, command: str) -> str:
     if fmt == "json":
-        payload = records if many else records[0]
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_records(records, many)
     if fmt == "csv":
         columns = list(records[0]["inputs"].keys()) + [
             "result", "paths", "cross_check_delta", "status", "verdict",

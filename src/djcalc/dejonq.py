@@ -39,15 +39,14 @@ __all__ = [
 class CountResult:
     """A count together with the route that produced it.
 
-    `value` is the count under the semantics given by `ordered`:
+    `value` is the unordered count and `ordered_value` the ordered one:
     ordered counts distinguish the labelling of equal contact orders,
-    unordered counts divide that out.  Both values are retained;
+    unordered counts divide that out, so
     value * symmetry factor == ordered_value exactly.
     """
 
     value: int
     path: str
-    ordered: bool
     ordered_value: int
 
 
@@ -143,7 +142,7 @@ def dj_count(g: int, r: int, d: int, mu: Partition, path: str = "coefficient") -
             f"symmetry factor {sym} does not divide ordered count {ordered} "
             f"for g={g}, r={r}, d={d}, mu={mu}"
         )
-    return CountResult(value=value, path=path, ordered=False, ordered_value=ordered)
+    return CountResult(value=value, path=path, ordered_value=ordered)
 
 
 def double_point_count(g: int, r: int, d: int) -> int:

@@ -106,6 +106,53 @@ def test_partition_spec_first_error_wins():
         compiled({"g": 0, "r": 9, "d": 0})
 
 
+def test_compile_int_expr_reports_the_names_it_reads():
+    names = ("g", "r", "d")
+    assert cli.compile_int_expr("d-2*r", names)[1] == {"r", "d"}
+    assert cli.compile_int_expr("r*0+7", names)[1] == {"r"}
+    assert cli.compile_int_expr("(3)", names)[1] == set()
+
+
+# Specs that read no grid variable, one, two and all three; several end in
+# an error at keys that repeat across the grid.
+MEMO_SPECS = [
+    "2,2", "x,2", "3^2,1,,2",
+    "2^(g-1)", "r+1", "0^r", "1^(d-3)",
+    "2^r,1^(d-2*r)", "r+1,1^(d-r-1)", "2^(r-2),,1", "2^(g-1),1^(d-2*g)",
+    "2^r,1^(d-2*r-g)", "g+1,1^(d-r)",
+]
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS)
+def test_memoized_partition_spec_matches_fresh_compiles(spec):
+    names = ("g", "r", "d")
+    memoized = cli.compile_partition_spec(spec, names)
+    for g in range(-1, 4):
+        for r in range(-1, 4):
+            for d in range(-1, 7):
+                env = {"g": g, "r": r, "d": d}
+                assert outcome(memoized, env) == outcome(cli.compile_partition_spec(spec, names), env)
+
+
+def test_partition_spec_memo_is_keyed_on_the_variables_read():
+    names = ("g", "r", "d")
+    by_rd = cli.compile_partition_spec("2^r,1^(d-2*r)", names)
+    assert by_rd({"g": 0, "r": 1, "d": 4}) is by_rd({"g": 5, "r": 1, "d": 4})
+    by_grd = cli.compile_partition_spec("2^r,1^(d-2*r-g)", names)  # no key could repeat
+    first, second = by_grd({"g": 0, "r": 1, "d": 4}), by_grd({"g": 0, "r": 1, "d": 4})
+    assert first == second and first is not second
+
+
+def test_memoized_error_is_raised_afresh():
+    by_g = cli.compile_partition_spec("2^(g-1)", ("g", "r", "d"))
+    raised = []
+    for r in (1, 2, 3):  # one key, g = 0
+        with pytest.raises(ValueError, match=r"partition item '2\^\(g-1\)' has negative multiplicity -1") as info:
+            by_g({"g": 0, "r": r, "d": 4})
+        raised.append(info.value)
+    assert len({id(exc) for exc in raised}) == 3
+
+
 # ---------------------------------------------------------------------------
 # oracle: the interpreting parser that evaluated each expression as it read
 # it.  Slow, since it re-reads the text for every env, but independent of
@@ -217,6 +264,12 @@ def oracle_parse_partition_spec(spec, env):
     return Partition(parts)
 
 
+def oracle_partition_entry(spec, env):
+    """What a compiled partition spec returns: the partition and its record text."""
+    mu = oracle_parse_partition_spec(spec, env)
+    return mu, ",".join(str(a) for a in mu.parts)
+
+
 def oracle_parse_f_spec(spec, env, mu):
     env = dict(env, e=mu.length, s=mu.total)
     if spec.startswith("span="):
@@ -246,9 +299,8 @@ def test_compiled_specs_match_interpreting_oracle(text, cells, parts):
     compiled_mu = cli.compile_partition_spec(text, ("g", "r", "d"))
     compiled_f = cli.compile_f_spec(text, ("g", "r", "d"))
     for env in cells:  # one compiled form serves every cell, as in a sweep
-        expected_mu = outcome(oracle_parse_partition_spec, text, env)
-        assert outcome(compiled_mu, env) == expected_mu
-        assert outcome(cli.parse_partition_spec, text, env) == expected_mu
+        assert outcome(compiled_mu, env) == outcome(oracle_partition_entry, text, env)
+        assert outcome(cli.parse_partition_spec, text, env) == outcome(oracle_parse_partition_spec, text, env)
         expected_f = outcome(oracle_parse_f_spec, text, env, mu)
         assert outcome(compiled_f, env, mu) == expected_f
         assert outcome(cli.parse_f_spec, text, env, mu) == expected_f
@@ -379,6 +431,28 @@ def test_count_part_limit(capsys, monkeypatch):
     assert above["status"] == "skipped: a count takes at most 3 parts, got 4"
 
 
+def test_plucker_part_limit(capsys, monkeypatch):
+    # plucker counts mu = (r+1, 1^(d-r-1)), which has d - r parts
+    limit = cli.MAX_COUNT_PARTS
+    code, out = run(["plucker", "--g", "0", "--r", "1", "--d", str(limit + 1)], capsys)
+    assert code == 0
+    assert "result=600" in out  # (r+1)d + (r+1)r(g-1) at g=0, r=1, d=301
+
+    def unreachable(g, r, d):
+        raise AssertionError("the limit is checked before the count runs")
+
+    monkeypatch.setattr(dejonq, "ramification_count_check", unreachable)
+    for d in (limit + 2, 20001):  # --d 20001 used to run for minutes
+        assert cli.main(["plucker", "--g", "0", "--r", "1", "--d", str(d)]) == 2
+        assert capsys.readouterr().err == f"error: a count takes at most {limit} parts, got {d - 1}\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_COUNT_PARTS", 3)
+    code, out = run(["plucker", "--g", "2", "--r", "2", "--d", "5", "--format", "json"], capsys)
+    assert (code, json.loads(out)["result"]) == (0, 21)  # 3*5 + 3*2*1
+    assert cli.main(["plucker", "--g", "2", "--r", "2", "--d", "6"]) == 2
+    assert capsys.readouterr().err == "error: a count takes at most 3 parts, got 4\n"
+
+
 def test_negative_rho_single_command_exits_2(capsys):
     assert cli.main(["dim", "--g", "8", "--r", "3", "--d", "8", "--mu", "2,2", "--f", "2"]) == 2
     assert "rho" in capsys.readouterr().err
@@ -395,7 +469,7 @@ def test_path_disagreement_exits_3(capsys, monkeypatch):
     def skewed(g, r, d, mu, path="coefficient"):
         result = real(g, r, d, mu, path=path)
         if path == "bracket":
-            return CountResult(result.value + 1, result.path, result.ordered, result.ordered_value)
+            return CountResult(result.value + 1, result.path, result.ordered_value)
         return result
 
     monkeypatch.setattr(dejonq, "dj_count", skewed)
@@ -534,3 +608,38 @@ def test_csv_and_json_records_match(capsys):
         assert cells["cross_check_delta"] == expected_delta
         assert cells["status"] == record["status"]
         assert cells["verdict"] == (record["verdict"] or "")
+
+
+# Leaves of every type a record holds, with the strings json escapes.
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2**64, max_value=2**300), st.integers(min_value=-(2**300), max_value=-(2**64)),
+    st.text(), st.text(alphabet='"\\\n\t\x00\x1f\x7f%é€😀ab'),
+)
+input_keys = st.sampled_from([
+    ("g", "r", "d", "mu"),  # count
+    ("g", "r", "d", "mu", "f"),  # dim, empty
+    ("g", "r", "d"),  # plucker
+    ("samples", "seed", "lo", "hi"),  # identity
+])
+json_records = st.builds(
+    cli._record,
+    input_keys.flatmap(lambda keys: st.fixed_dictionaries({key: json_leaves for key in keys})),
+    json_leaves, st.lists(st.text(alphabet='"\\\n%éab_'), max_size=3), json_leaves, json_leaves, json_leaves,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(json_records, min_size=1, max_size=4), st.booleans())
+def test_json_output_is_json_dumps(records, many):
+    expected = json.dumps(records if many else records[0], indent=2) + "\n"
+    assert cli.render(records, "json", many, "sweep") == expected
+
+
+def test_json_output_keeps_the_int_conversion_limit():
+    record = cli._record({"g": 2, "r": 1, "d": 3}, 10**4999, [], None, "ok", None)  # 5,000 digits
+    with pytest.raises(ValueError) as expected:
+        json.dumps(record, indent=2)
+    with pytest.raises(ValueError) as got:
+        cli.render([record], "json", False, "plucker")
+    assert str(got.value) == str(expected.value)

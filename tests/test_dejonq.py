@@ -213,7 +213,6 @@ def test_dj_count_examples():
 def test_dj_count_records_both_values():
     result = dj_count(3, 2, 4, Partition([2, 2]))
     assert isinstance(result, CountResult)
-    assert not result.ordered
     assert result.path == "coefficient"
     assert result.value * Partition([2, 2]).symmetry_factor == result.ordered_value == 56
 
