@@ -17,7 +17,7 @@ import random
 import sys
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Callable, Collection, Container, Iterable
+from typing import Callable, Container, Iterable, Mapping, Sized
 
 from . import bn, dejonq, lls
 from .errors import ContractViolation, HypothesisViolation, IntegralityError
@@ -189,17 +189,20 @@ def _raiser(message: str):
 
 
 def compile_partition_spec(
-    spec: str, names: Collection[str]
+    spec: str, names: Container[str], grid: Mapping[str, Sized] | None = None
 ) -> Callable[[dict[str, int]], tuple[Partition, str]]:
     """Compile a partition spec (see parse_partition_spec) into a function of
     env that returns the partition and its record text.  A compile error in
     an item is raised only when evaluation reaches that item, so the earlier
     items' checks come first, item by item.
 
-    The function memoizes its value, or its ValueError's message, on the
-    values of the variables the spec reads, unless it reads all of `names`,
-    since no key could then repeat.  The memo lives as long as the function,
-    which serves one request.
+    `grid` maps each name to the values it takes over one request.  When a
+    name the spec does not read takes more than one, the values of the names
+    it does read repeat from cell to cell, and the function memoizes its
+    value, or its ValueError's message, on them for as long as it lives,
+    keeping partitions of at most MAX_PARTS parts in all.  Otherwise, and
+    without `grid`, each call builds afresh, so no partition outlives its
+    cell.
     """
     items = []
     reads: set[str] = set()
@@ -236,20 +239,25 @@ def compile_partition_spec(
         mu = Partition(parts)
         return mu, _mu_text(mu)
 
-    if reads >= set(names):
+    if grid is None or all(len(values) <= 1 for name, values in grid.items() if name not in reads):
         return partition
     key_of = itemgetter(*sorted(reads)) if reads else (lambda env: None)
     memo: dict[object, tuple[Partition, str] | str] = {}
+    room = MAX_PARTS  # the memo keeps at most one largest partition's worth of parts
 
     def memoized(env: dict[str, int]) -> tuple[Partition, str]:
+        nonlocal room
         key = key_of(env)
         entry = memo.get(key)
         if entry is None:
             try:
-                entry = memo[key] = partition(env)
+                entry = partition(env)
             except ValueError as exc:
                 memo[key] = str(exc)
                 raise
+            if entry[0].length <= room:
+                room -= entry[0].length
+                memo[key] = entry
         elif isinstance(entry, str):
             # a fresh exception: re-raising a stored one would lengthen its traceback
             raise ValueError(entry)
@@ -394,7 +402,7 @@ def _cmd_cells(args):
     else:
         what, grid = args.command, ((args.g,), (args.r,), (args.d,))
     names = ("g", "r", "d")
-    mu_of = compile_partition_spec(args.mu, names)
+    mu_of = compile_partition_spec(args.mu, names, dict(zip(names, grid)))
     f_of = None if what == "count" else compile_f_spec(args.f, names)
     records = []
     code = 0
@@ -413,7 +421,8 @@ def _cmd_plucker(args):
     g, r, d = args.g, args.r, args.d
     inputs = {"g": g, "r": r, "d": d}
     paths = ["coefficient", "closed_form"]
-    _check_count_parts(d - r)  # the count has mu = (r+1, 1^(d-r-1))
+    if r >= 1 and g >= 0:  # otherwise the count's own precondition names the fault
+        _check_count_parts(d - r)  # the count has mu = (r+1, 1^(d-r-1))
     try:
         counted, closed = dejonq.ramification_count_check(g, r, d)
     except IntegralityError as exc:

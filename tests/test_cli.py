@@ -123,28 +123,44 @@ MEMO_SPECS = [
 ]
 
 
+NAMES = ("g", "r", "d")
+GRID = {"g": range(-1, 4), "r": range(-1, 4), "d": range(-1, 7)}
+
+
 @pytest.mark.parametrize("spec", MEMO_SPECS)
 def test_memoized_partition_spec_matches_fresh_compiles(spec):
-    names = ("g", "r", "d")
-    memoized = cli.compile_partition_spec(spec, names)
-    for g in range(-1, 4):
-        for r in range(-1, 4):
-            for d in range(-1, 7):
+    memoized = cli.compile_partition_spec(spec, NAMES, GRID)
+    for g in GRID["g"]:
+        for r in GRID["r"]:
+            for d in GRID["d"]:
                 env = {"g": g, "r": r, "d": d}
-                assert outcome(memoized, env) == outcome(cli.compile_partition_spec(spec, names), env)
+                assert outcome(memoized, env) == outcome(cli.compile_partition_spec(spec, NAMES), env)
 
 
-def test_partition_spec_memo_is_keyed_on_the_variables_read():
-    names = ("g", "r", "d")
-    by_rd = cli.compile_partition_spec("2^r,1^(d-2*r)", names)
-    assert by_rd({"g": 0, "r": 1, "d": 4}) is by_rd({"g": 5, "r": 1, "d": 4})
-    by_grd = cli.compile_partition_spec("2^r,1^(d-2*r-g)", names)  # no key could repeat
-    first, second = by_grd({"g": 0, "r": 1, "d": 4}), by_grd({"g": 0, "r": 1, "d": 4})
-    assert first == second and first is not second
+def test_partition_spec_memoizes_only_where_the_grid_repeats_a_key():
+    cell, again = {"g": 0, "r": 1, "d": 4}, {"g": 5, "r": 1, "d": 4}
+
+    def memoizes(spec, grid):
+        by_spec = cli.compile_partition_spec(spec, NAMES, grid)
+        first, second = by_spec(cell), by_spec(again)
+        assert first == second
+        return first is second
+
+    assert memoizes("2^r,1^(d-2*r)", GRID)  # g is not read and takes five values
+    assert not memoizes("2^r,1^(d-2*r)", {**GRID, "g": range(0, 1)})  # each (r, d) is one cell
+    assert not memoizes("2^r,1^(d-2*r)", None)
+    assert not memoizes("2^r,1^(d-2*r-g*0)", GRID)  # reads all three names
+
+
+def test_partition_spec_memo_keeps_at_most_max_parts(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_PARTS", 10)
+    by_d = cli.compile_partition_spec("1^d", NAMES, {"g": range(2), "r": range(1), "d": range(20)})
+    kept = [by_d({"g": 0, "r": 0, "d": d}) is by_d({"g": 1, "r": 0, "d": d}) for d in (4, 6, 1, 3)]
+    assert kept == [True, True, False, False]  # 4 + 6 parts fill the memo
 
 
 def test_memoized_error_is_raised_afresh():
-    by_g = cli.compile_partition_spec("2^(g-1)", ("g", "r", "d"))
+    by_g = cli.compile_partition_spec("2^(g-1)", NAMES, GRID)
     raised = []
     for r in (1, 2, 3):  # one key, g = 0
         with pytest.raises(ValueError, match=r"partition item '2\^\(g-1\)' has negative multiplicity -1") as info:
@@ -451,6 +467,14 @@ def test_plucker_part_limit(capsys, monkeypatch):
     assert (code, json.loads(out)["result"]) == (0, 21)  # 3*5 + 3*2*1
     assert cli.main(["plucker", "--g", "2", "--r", "2", "--d", "6"]) == 2
     assert capsys.readouterr().err == "error: a count takes at most 3 parts, got 4\n"
+    # past the limit, a request that has no count still names its own fault
+    for argv, message in (
+        (["--g", "0", "--r", "0", "--d", "400"], "ramification_count_check requires r >= 1, got r=0"),
+        (["--g", "0", "--r", "-400", "--d", "0"], "ramification_count_check requires r >= 1, got r=-400"),
+        (["--g", "-1", "--r", "1", "--d", "400"], "coefficient_count requires g >= 0, got g=-1"),
+    ):
+        assert cli.main(["plucker", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_negative_rho_single_command_exits_2(capsys):
