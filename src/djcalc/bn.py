@@ -31,6 +31,7 @@ __all__ = [
     "rho",
     "rho_raw",
     "rho_adjusted",
+    "expected_dim",
     "expected_dim_sigma",
     "expected_dim_fixed_series",
     "is_empty_for_general_curve",
@@ -43,6 +44,21 @@ __all__ = [
 ]
 
 
+# The checks of SeriesParams and DJProblem, shared with the expected_dim kernel.
+def _check_series(g: int, r: int, d: int) -> None:
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, got g={g}")
+    if r < 1:
+        raise ValueError(f"series dimension must be >= 1, got r={r}")
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got d={d}")
+
+
+def _check_f(r: int, s: int, f: int) -> None:
+    if f < 0 or f < s - r or f > s:
+        raise ValueError(f"f={f} outside the valid range [{max(s - r, 0)}, {s}] for |mu|={s}, r={r}")
+
+
 @dataclass(frozen=True)
 class SeriesParams:
     """The triple (g, r, d) of a g^r_d on a genus-g curve."""
@@ -52,12 +68,7 @@ class SeriesParams:
     d: int
 
     def __post_init__(self) -> None:
-        if self.g < 0:
-            raise ValueError(f"genus must be >= 0, got g={self.g}")
-        if self.r < 1:
-            raise ValueError(f"series dimension must be >= 1, got r={self.r}")
-        if self.d < 1:
-            raise ValueError(f"degree must be >= 1, got d={self.d}")
+        _check_series(self.g, self.r, self.d)
 
 
 @dataclass(frozen=True)
@@ -72,13 +83,7 @@ class DJProblem:
     f: int
 
     def __post_init__(self) -> None:
-        s = self.mu.total
-        r = self.params.r
-        if self.f < 0 or self.f < s - r or self.f > s:
-            raise ValueError(
-                f"f={self.f} outside the valid range [{max(s - r, 0)}, {s}] "
-                f"for |mu|={s}, r={r}"
-            )
+        _check_f(self.params.r, self.mu.total, self.f)
 
     @property
     def residual_rank(self) -> int:
@@ -106,17 +111,26 @@ def rho_adjusted(params: SeriesParams, alpha: RamificationSequence) -> int:
     return rho(params) - sum(alpha.entries)
 
 
+def expected_dim(g: int, r: int, d: int, e: int, s: int, f: int) -> int:
+    """rho + e - f(r+1-s+f) for a partition of length e and sum s: the
+    integer kernel of expected_dim_sigma, with the checks of SeriesParams,
+    then of DJProblem, then rho >= 0, in that order.
+    """
+    _check_series(g, r, d)
+    _check_f(r, s, f)
+    rho_value = rho_raw(g, r, d)
+    if rho_value < 0:
+        raise HypothesisViolation(
+            f"rho({g},{r},{d}) = {rho_value} < 0; the dimension statement assumes rho >= 0"
+        )
+    return rho_value + e - f * (r + 1 - s + f)
+
+
 def expected_dim_sigma(p: DJProblem) -> int:
     """Dimension of every component of the universal secant locus on a
     general curve: rho + e - f(r+1-|mu|+f).  Requires rho >= 0.
     """
-    rho_value = rho(p.params)
-    if rho_value < 0:
-        raise HypothesisViolation(
-            f"rho({p.params.g},{p.params.r},{p.params.d}) = {rho_value} < 0; "
-            "the dimension statement assumes rho >= 0"
-        )
-    return rho_value + p.mu.length - p.f * p.residual_rank
+    return expected_dim(p.params.g, p.params.r, p.params.d, p.mu.length, p.mu.total, p.f)
 
 
 def expected_dim_fixed_series(p: DJProblem) -> int:

@@ -16,6 +16,7 @@ import io
 import random
 import sys
 from json.encoder import encode_basestring_ascii
+from math import prod
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Mapping, Sized
 
@@ -64,6 +65,10 @@ MAX_NESTING = 100
 # The most parts a partition spec may expand to; checked before the parts
 # are allocated.
 MAX_PARTS = 1_000_000
+
+# The most cells a sweep takes; checked before anything is compiled, so an
+# oversized grid allocates nothing.
+MAX_CELLS = 200_000
 
 # The most parts a count takes: the bracket route is O(e^3), and at this
 # length it still takes about a second.
@@ -280,12 +285,13 @@ def compile_f_spec(spec: str, names: Iterable[str]) -> Callable[[dict[str, int],
     A compile error is raised when the function is called."""
     span = spec.startswith("span=")
     try:
-        value_of, _ = compile_int_expr(spec[len("span="):] if span else spec, {*names, "e", "s"})
+        value_of, reads = compile_int_expr(spec[len("span="):] if span else spec, {*names, "e", "s"})
     except ValueError as exc:
         return _raiser(str(exc))
+    reads_mu = not reads.isdisjoint(("e", "s"))
 
     def f_value(env: dict[str, int], mu: Partition) -> int:
-        value = value_of({**env, "e": mu.length, "s": mu.total})
+        value = value_of({**env, "e": mu.length, "s": mu.total} if reads_mu else env)
         return mu.total - value - 1 if span else value
     return f_value
 
@@ -327,10 +333,6 @@ def _mu_text(mu: Partition) -> str:
     return ",".join(str(a) for a in mu.parts)
 
 
-def _dimension(g: int, r: int, d: int, mu: Partition, f: int) -> int:
-    return bn.expected_dim_sigma(bn.DJProblem(bn.SeriesParams(g, r, d), mu, f))
-
-
 def _verdict(dim: int) -> str:
     return "empty" if dim < 0 else "possible"
 
@@ -350,7 +352,7 @@ def _count_record(inputs, g: int, r: int, d: int, mu: Partition):
     delta = by_bracket.value - by_coeff.value
     status = "ok" if delta == 0 else "cross-check failed: bracket and coefficient paths disagree"
     try:  # the dimension theorem at f = d - r, when its hypotheses hold
-        verdict = _verdict(_dimension(g, r, d, mu, d - r))
+        verdict = _verdict(bn.expected_dim(g, r, d, mu.length, mu.total, d - r))
     except ValueError:
         verdict = None
     return _record(inputs, by_coeff.value, paths, delta, status, verdict), (0 if delta == 0 else 3)
@@ -370,22 +372,22 @@ def evaluate_cell(
     until it evaluates, then its value.
     """
     env = {"g": g, "r": r, "d": d}
-    inputs = {"g": g, "r": r, "d": d, "mu": mu_spec}
-    if what != "count":
-        inputs["f"] = f_spec
+    mu_text, f = mu_spec, f_spec
     try:
-        mu, inputs["mu"] = mu_of(env)
+        mu, mu_text = mu_of(env)
         if what == "count":
             _check_count_parts(mu.length)
-            record, code = _count_record(inputs, g, r, d, mu)
+            record, code = _count_record({"g": g, "r": r, "d": d, "mu": mu_text}, g, r, d, mu)
             return record, code, None
         f = f_of(env, mu)
-        inputs["f"] = f
-        dim = _dimension(g, r, d, mu, f)
+        dim = bn.expected_dim(g, r, d, mu.length, mu.total, f)
     except ValueError as exc:
+        inputs = {"g": g, "r": r, "d": d, "mu": mu_text}
+        if what != "count":
+            inputs["f"] = f
         return _record(inputs, None, [], None, f"skipped: {exc}", None), 0, exc
-    result = dim if what == "dim" else dim < 0
-    return _record(inputs, result, ["dimension"], None, "ok", _verdict(dim)), 0, None
+    inputs = {"g": g, "r": r, "d": d, "mu": mu_text, "f": f}
+    return _record(inputs, dim if what == "dim" else dim < 0, ["dimension"], None, "ok", _verdict(dim)), 0, None
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +401,9 @@ def _cmd_cells(args):
     sweep = args.command == "sweep"
     if sweep:
         what, grid = args.what, (parse_range(args.g), parse_range(args.r), parse_range(args.d))
+        cells = prod(values.stop - values.start for values in grid)  # len() overflows past sys.maxsize
+        if cells > MAX_CELLS:
+            raise ValueError(f"a sweep takes at most {MAX_CELLS} cells, got {cells}")
     else:
         what, grid = args.command, ((args.g,), (args.r,), (args.d,))
     names = ("g", "r", "d")
@@ -434,6 +439,10 @@ def _cmd_plucker(args):
 
 
 def _cmd_identity(args):
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
+    if args.lo > args.hi:
+        raise ValueError(f"--lo must be <= --hi, got --lo {args.lo} and --hi {args.hi}")
     rng = random.Random(args.seed)
     failures = 0
     for _ in range(args.samples):

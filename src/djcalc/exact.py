@@ -71,6 +71,11 @@ class Partition:
     """
 
     parts: tuple[int, ...] = field(default=())
+    # Number of parts (the number of distinct contact points) and their sum
+    # (the degree of the contact divisor), computed once; they take no part
+    # in repr, == or hash, which see the parts alone.
+    length: int = field(default=0, repr=False, compare=False)
+    total: int = field(default=0, repr=False, compare=False)
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
         canonical = tuple(sorted(parts, reverse=True))
@@ -78,16 +83,8 @@ class Partition:
             if isinstance(a, bool) or not isinstance(a, int) or a < 1:
                 raise ValueError(f"partition parts must be positive integers, got {a!r}")
         object.__setattr__(self, "parts", canonical)
-
-    @property
-    def length(self) -> int:
-        """Number of parts (the number of distinct contact points)."""
-        return len(self.parts)
-
-    @property
-    def total(self) -> int:
-        """Sum of the parts (the degree of the contact divisor)."""
-        return sum(self.parts)
+        object.__setattr__(self, "length", len(canonical))
+        object.__setattr__(self, "total", sum(canonical))
 
     @property
     def multiplicities(self) -> dict[int, int]:
@@ -109,7 +106,7 @@ class Partition:
         return iter(self.parts)
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return self.length
 
     def __str__(self) -> str:
         return "(" + ",".join(str(a) for a in self.parts) + ")"

@@ -10,6 +10,7 @@ from djcalc.bn import (
     corollary_tangent_hyperplane_dim,
     corollary_tangential_secant,
     corollary_total_ramification,
+    expected_dim,
     expected_dim_fixed_series,
     expected_dim_sigma,
     is_empty_for_general_curve,
@@ -109,6 +110,41 @@ def valid_problems(draw):
     mu = Partition(parts)
     f = draw(st.integers(max(mu.total - r, 0), mu.total))
     return DJProblem(SeriesParams(g, r, d), mu, f)
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.integers(-3, 12), st.integers(-3, 8), st.integers(-3, 20),
+    st.lists(st.integers(1, 5), max_size=6), st.integers(-4, 24),
+)
+def test_expected_dim_kernel_matches_the_dataclass_path(g, r, d, parts, f):
+    # includes invalid g, r, d and out-of-range f, so the order of the checks
+    # and each message are compared too
+    mu = Partition(parts)
+
+    def by_dataclasses():
+        return expected_dim_sigma(DJProblem(SeriesParams(g, r, d), mu, f))
+
+    assert outcome(expected_dim, g, r, d, mu.length, mu.total, f) == outcome(by_dataclasses)
+
+
+def test_expected_dim_checks_in_order():
+    # every check fails: the series comes first, then f, then rho
+    assert outcome(expected_dim, -1, 0, 0, 1, 2, 9) == (ValueError, "genus must be >= 0, got g=-1")
+    assert outcome(expected_dim, 8, 3, 8, 1, 2, 9) == (
+        ValueError, "f=9 outside the valid range [0, 2] for |mu|=2, r=3"
+    )
+    assert outcome(expected_dim, 8, 3, 8, 1, 2, 2) == (
+        HypothesisViolation, "rho(8,3,8) = -4 < 0; the dimension statement assumes rho >= 0"
+    )
+    assert expected_dim(3, 2, 4, 2, 4, 2) == 0
 
 
 @given(valid_problems())

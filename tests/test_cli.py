@@ -397,6 +397,21 @@ def test_identity_json(capsys):
     assert record["inputs"]["seed"] == 3
 
 
+def test_identity_with_no_samples_holds(capsys):
+    assert run(["identity", "--samples", "0"], capsys) == (0, "0/0 identity holds\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--samples", "-5"], "--samples must be >= 0, got -5"),
+    (["--lo", "5", "--hi", "2"], "--lo must be <= --hi, got --lo 5 and --hi 2"),
+    (["--lo", "3", "--hi", "2"], "--lo must be <= --hi, got --lo 3 and --hi 2"),
+    (["--samples", "-1", "--lo", "5", "--hi", "2"], "--samples must be >= 0, got -1"),
+])
+def test_identity_rejects_bad_options(capsys, argv, message):
+    assert cli.main(["identity", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # validation failures exit 2
 # ---------------------------------------------------------------------------
@@ -596,6 +611,44 @@ def test_sweep_skips_with_the_first_error_of_each_cell(capsys):
         "skipped: empty item in partition spec '2^(r-2),,1'",
         "skipped: empty item in partition spec '2^(r-2),,1'",
     ]
+
+
+def test_sweep_cell_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CELLS", 6)
+    argv = ["sweep", "--what", "dim", "--r", "1:2", "--d", "2", "--mu", "1", "--f", "0", "--format", "csv"]
+    code, out = run([*argv, "--g", "0:2"], capsys)
+    assert (code, len(out.splitlines())) == (0, 7)  # a header and 6 rows, at the limit
+    assert cli.main([*argv, "--g", "0:3"]) == 2
+    assert capsys.readouterr() == ("", "error: a sweep takes at most 6 cells, got 8\n")
+
+
+def test_huge_sweep_exits_2_before_any_cell(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the grid size is checked before anything is compiled")
+
+    for name in ("compile_partition_spec", "compile_f_spec", "evaluate_cell"):
+        monkeypatch.setattr(cli, name, unreachable)
+    for g, cells in (("0:1000000000", 10**9 + 1), ("0:100000000000000000000", 10**20 + 1)):
+        argv = ["sweep", "--what", "dim", "--g", g, "--r", "1", "--d", "1", "--mu", "1", "--f", "0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: a sweep takes at most {cli.MAX_CELLS} cells, got {cells}\n")
+
+
+def test_sweep_cell_limit_admits_the_160400_cell_grid(monkeypatch):
+    # a 160,400-cell grid is under the cap; each cell is stubbed to keep the test fast
+    evaluated = 0
+
+    def cell(*args):
+        nonlocal evaluated
+        evaluated += 1
+        return None, 0, None
+
+    monkeypatch.setattr(cli, "evaluate_cell", cell)
+    monkeypatch.setattr(cli, "render", lambda *args, **kwargs: "")
+    argv = ["sweep", "--g", "0:400", "--r", "1:20", "--d", "1:20", "--mu", "2^r,1^(d-2*r)", "--f", "span=r-1",
+            "--what", "dim"]
+    assert cli.run(argv) == (0, "")
+    assert evaluated == 160_400
 
 
 def test_sweep_requires_f_for_dim(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -84,6 +85,27 @@ def test_partition_profile_invariants(parts):
     profile = mu.multiplicities
     assert sum(profile.values()) == mu.length
     assert sum(v * n for v, n in profile.items()) == mu.total
+
+
+@given(st.lists(st.integers(1, 9), max_size=8))
+def test_partition_total_and_length(parts):
+    mu = Partition(parts)
+    assert (mu.total, mu.length, len(mu)) == (sum(parts), len(parts), len(parts))
+
+
+def test_partition_repr_equality_and_hash_see_only_the_parts():
+    assert repr(Partition([2, 1])) == "Partition(parts=(2, 1))"
+    assert Partition([1, 2]) == Partition([2, 1]) != Partition([2, 2])
+    assert hash(Partition([1, 2])) == hash(Partition([2, 1])) == hash(((2, 1),))
+    assert Partition([2, 1]) != (2, 1)
+
+
+def test_partition_is_frozen():
+    mu = Partition([2, 1])
+    for name in ("parts", "total", "length"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mu, name, 0)
+    assert (mu.parts, mu.total, mu.length) == ((2, 1), 3, 2)
 
 
 def test_partition_symmetry_factor():
