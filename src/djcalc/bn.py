@@ -156,7 +156,8 @@ def span_dimension(mu: Partition, f: int) -> int:
 
 
 def _check_rho(g: int, r: int, d: int) -> int:
-    value = rho(SeriesParams(g, r, d))
+    _check_series(g, r, d)
+    value = rho_raw(g, r, d)
     if value < 0:
         raise HypothesisViolation(f"rho({g},{r},{d}) = {value} < 0")
     return value

@@ -74,6 +74,9 @@ MAX_CELLS = 200_000
 # length it still takes about a second.
 MAX_COUNT_PARTS = 300
 
+# The most samples `identity` draws: about a second of proof_identity calls.
+MAX_SAMPLES = 100_000
+
 
 def compile_int_expr(
     text: str, names: Container[str]
@@ -180,13 +183,6 @@ def compile_int_expr(
     return value_of, frozenset(reads)
 
 
-def eval_int_expr(text: str, env: dict[str, int]) -> int:
-    """Evaluate an integer expression over +, -, *, parentheses and the
-    variables in `env` (e.g. g, r, d)."""
-    value_of, _ = compile_int_expr(text, env)
-    return value_of(env)
-
-
 def _raiser(message: str):
     def fail(*args):
         raise ValueError(message)
@@ -196,10 +192,13 @@ def _raiser(message: str):
 def compile_partition_spec(
     spec: str, names: Container[str], grid: Mapping[str, Sized] | None = None
 ) -> Callable[[dict[str, int]], tuple[Partition, str]]:
-    """Compile a partition spec (see parse_partition_spec) into a function of
-    env that returns the partition and its record text.  A compile error in
-    an item is raised only when evaluation reaches that item, so the earlier
-    items' checks come first, item by item.
+    """Compile a partition spec, '2,2,1' or power notation '2^3,1^2', into a
+    function of env that returns the partition and its record text.  Bases
+    and exponents may be expressions in the variables in `names` (e.g.
+    '2^r,1^(d-2*r)').  Zero exponents drop the part; negative exponents,
+    non-positive parts and specs of more than MAX_PARTS parts are rejected.
+    A compile error in an item is raised only when evaluation reaches that
+    item, so the earlier items' checks come first, item by item.
 
     `grid` maps each name to the values it takes over one request.  When a
     name the spec does not read takes more than one, the values of the names
@@ -270,19 +269,11 @@ def compile_partition_spec(
     return memoized
 
 
-def parse_partition_spec(spec: str, env: dict[str, int]) -> Partition:
-    """Parse '2,2,1' or power notation '2^3,1^2'; bases and exponents may be
-    expressions in g, r, d (e.g. '2^r,1^(d-2*r)').  Zero exponents drop the
-    part; negative exponents, non-positive parts and specs of more than
-    MAX_PARTS parts are rejected.
-    """
-    mu, _ = compile_partition_spec(spec, env)(env)
-    return mu
-
-
 def compile_f_spec(spec: str, names: Iterable[str]) -> Callable[[dict[str, int], Partition], int]:
-    """Compile an f spec (see parse_f_spec) into a function of (env, mu).
-    A compile error is raised when the function is called."""
+    """Compile an f spec into a function of (env, mu): an integer expression
+    over `names` (e.g. g, r, d), e (partition length) and s (partition sum),
+    or 'span=<expr>' for f = |mu| - span - 1.  A compile error is raised
+    when the function is called."""
     span = spec.startswith("span=")
     try:
         value_of, reads = compile_int_expr(spec[len("span="):] if span else spec, {*names, "e", "s"})
@@ -294,12 +285,6 @@ def compile_f_spec(spec: str, names: Iterable[str]) -> Callable[[dict[str, int],
         value = value_of({**env, "e": mu.length, "s": mu.total} if reads_mu else env)
         return mu.total - value - 1 if span else value
     return f_value
-
-
-def parse_f_spec(spec: str, env: dict[str, int], mu: Partition) -> int:
-    """Parse an f value: an integer expression over g, r, d, e (partition
-    length) and s (partition sum), or 'span=<expr>' for f = |mu| - span - 1."""
-    return compile_f_spec(spec, env)(env, mu)
 
 
 def parse_range(text: str) -> range:
@@ -342,20 +327,31 @@ def _check_count_parts(e: int) -> None:
         raise ValueError(f"a count takes at most {MAX_COUNT_PARTS} parts, got {e}")
 
 
-def _count_record(inputs, g: int, r: int, d: int, mu: Partition):
-    paths = ["bracket", "coefficient"]
+def _cross_check(inputs, paths, checked: Callable[[], tuple[int, int]], disagreement: str, verdict=None):
+    """A cross-checked result as (record, exit code).  `checked` returns
+    (value, check); the record holds value as its result and check - value
+    as its delta.  A nonzero delta or an IntegralityError gives a failure
+    status and exit code 3."""
     try:
-        by_coeff = dejonq.dj_count(g, r, d, mu, path="coefficient")
-        by_bracket = dejonq.dj_count(g, r, d, mu, path="bracket")
+        value, check = checked()
     except IntegralityError as exc:
         return _record(inputs, None, paths, None, f"integrality violation: {exc}", None), 3
-    delta = by_bracket.value - by_coeff.value
-    status = "ok" if delta == 0 else "cross-check failed: bracket and coefficient paths disagree"
+    delta = check - value
+    status = "ok" if delta == 0 else f"cross-check failed: {disagreement}"
+    return _record(inputs, value, paths, delta, status, verdict), (0 if delta == 0 else 3)
+
+
+def _count_record(inputs, g: int, r: int, d: int, mu: Partition):
     try:  # the dimension theorem at f = d - r, when its hypotheses hold
         verdict = _verdict(bn.expected_dim(g, r, d, mu.length, mu.total, d - r))
     except ValueError:
         verdict = None
-    return _record(inputs, by_coeff.value, paths, delta, status, verdict), (0 if delta == 0 else 3)
+    return _cross_check(
+        inputs, ["bracket", "coefficient"],
+        lambda: (dejonq.dj_count(g, r, d, mu, path="coefficient").value,
+                 dejonq.dj_count(g, r, d, mu, path="bracket").value),
+        "bracket and coefficient paths disagree", verdict,
+    )
 
 
 def evaluate_cell(
@@ -424,23 +420,20 @@ def _cmd_cells(args):
 
 def _cmd_plucker(args):
     g, r, d = args.g, args.r, args.d
-    inputs = {"g": g, "r": r, "d": d}
-    paths = ["coefficient", "closed_form"]
     if r >= 1 and g >= 0:  # otherwise the count's own precondition names the fault
         _check_count_parts(d - r)  # the count has mu = (r+1, 1^(d-r-1))
-    try:
-        counted, closed = dejonq.ramification_count_check(g, r, d)
-    except IntegralityError as exc:
-        return [_record(inputs, None, paths, None, f"integrality violation: {exc}", None)], 3
-    delta = counted - closed
-    status = "ok" if delta == 0 else "cross-check failed: count and closed form disagree"
-    record = _record(inputs, closed, paths, delta, status, None)
-    return [record], (0 if delta == 0 else 3)
+    record, code = _cross_check(  # the closed form is the result, the count its check
+        {"g": g, "r": r, "d": d}, ["coefficient", "closed_form"],
+        lambda: dejonq.ramification_count_check(g, r, d)[::-1], "count and closed form disagree",
+    )
+    return [record], code
 
 
 def _cmd_identity(args):
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be <= {MAX_SAMPLES}, got {args.samples}")
     if args.lo > args.hi:
         raise ValueError(f"--lo must be <= --hi, got --lo {args.lo} and --hi {args.hi}")
     rng = random.Random(args.seed)
@@ -450,11 +443,12 @@ def _cmd_identity(args):
         lhs, rhs = lls.proof_identity(g, m, r, d, s, f)
         if lhs != rhs:
             failures += 1
-    passes = args.samples - failures
     inputs = {"samples": args.samples, "seed": args.seed, "lo": args.lo, "hi": args.hi}
-    status = "ok" if failures == 0 else f"cross-check failed: {failures} tuples violate the identity"
-    record = _record(inputs, passes, ["polynomial"], failures, status, None)
-    return [record], (0 if failures == 0 else 3)
+    record, code = _cross_check(
+        inputs, ["polynomial"], lambda: (args.samples - failures, args.samples),
+        f"{failures} tuples violate the identity",
+    )
+    return [record], code
 
 
 COMMANDS = {

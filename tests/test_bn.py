@@ -235,6 +235,28 @@ def test_total_ramification_examples():
         corollary_total_ramification(4, 2, 5, 1)  # a < r
 
 
+@pytest.mark.parametrize("corollary, extra", [
+    (corollary_tangential_secant, (1,)),
+    (corollary_degenerate_tangents, (1,)),
+    (corollary_tangent_hyperplane_dim, (5,)),
+    (corollary_flex_bitangent, (2, 2)),
+    (corollary_total_ramification, (4,)),
+])
+def test_corollaries_check_the_series_then_rho(corollary, extra):
+    # the checks, messages and exception types of SeriesParams, then rho >= 0
+    for (g, r, d), message in (
+        ((-1, 3, 5), "genus must be >= 0, got g=-1"),
+        ((2, 0, 5), "series dimension must be >= 1, got r=0"),
+        ((2, 3, 0), "degree must be >= 1, got d=0"),
+    ):
+        with pytest.raises(ValueError) as info:
+            corollary(g, r, d, *extra)
+        assert (type(info.value), str(info.value)) == (ValueError, message)
+    with pytest.raises(HypothesisViolation) as info:
+        corollary(8, 3, 8, *extra)
+    assert str(info.value) == "rho(8,3,8) = -4 < 0"
+
+
 def grid(g_max=12, r_max=6, d_max=16):
     for g in range(g_max + 1):
         for r in range(1, r_max + 1):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from djcalc import cli, dejonq
+from djcalc import cli, dejonq, lls
 from djcalc.dejonq import CountResult
 from djcalc.errors import IntegralityError
 from djcalc.exact import Partition
@@ -23,61 +23,76 @@ def run(argv, capsys):
 # ---------------------------------------------------------------------------
 
 
+# Compile with the env's own names and evaluate once, as a single command does.
+def evaluate(text, env):
+    value_of, _ = cli.compile_int_expr(text, env)
+    return value_of(env)
+
+
+def partition(spec, env):
+    mu, _ = cli.compile_partition_spec(spec, env)(env)
+    return mu
+
+
+def f_value(spec, env, mu):
+    return cli.compile_f_spec(spec, env)(env, mu)
+
+
 def test_eval_int_expr():
     env = {"g": 3, "r": 2, "d": 10}
-    assert cli.eval_int_expr("d-2*r", env) == 6
-    assert cli.eval_int_expr("(r+1)*(d-r)", env) == 24
-    assert cli.eval_int_expr("-r", env) == -2
-    assert cli.eval_int_expr(" 7 ", env) == 7
+    assert evaluate("d-2*r", env) == 6
+    assert evaluate("(r+1)*(d-r)", env) == 24
+    assert evaluate("-r", env) == -2
+    assert evaluate(" 7 ", env) == 7
     with pytest.raises(ValueError):
-        cli.eval_int_expr("d-2r x", env)
+        evaluate("d-2r x", env)
     with pytest.raises(ValueError):
-        cli.eval_int_expr("q+1", env)
+        evaluate("q+1", env)
     with pytest.raises(ValueError):
-        cli.eval_int_expr("(d", env)
+        evaluate("(d", env)
 
 
 def test_parse_partition_spec():
     env = {"g": 3, "r": 2, "d": 6}
-    assert cli.parse_partition_spec("2,2,1", env) == Partition([2, 2, 1])
-    assert cli.parse_partition_spec("2^3,1^2", env) == Partition([2, 2, 2, 1, 1])
-    assert cli.parse_partition_spec("1,2^2,1", env) == Partition([2, 2, 1, 1])  # canonicalized
-    assert cli.parse_partition_spec("2^r,1^(d-2*r)", env) == Partition([2, 2, 1, 1])
-    assert cli.parse_partition_spec("r+1,1^(d-r-1)", env) == Partition([3, 1, 1, 1])
-    assert cli.parse_partition_spec("1^0", env) == Partition([])
+    assert partition("2,2,1", env) == Partition([2, 2, 1])
+    assert partition("2^3,1^2", env) == Partition([2, 2, 2, 1, 1])
+    assert partition("1,2^2,1", env) == Partition([2, 2, 1, 1])  # canonicalized
+    assert partition("2^r,1^(d-2*r)", env) == Partition([2, 2, 1, 1])
+    assert partition("r+1,1^(d-r-1)", env) == Partition([3, 1, 1, 1])
+    assert partition("1^0", env) == Partition([])
     with pytest.raises(ValueError):
-        cli.parse_partition_spec("2^(r-3)", env)  # negative multiplicity
+        partition("2^(r-3)", env)  # negative multiplicity
     with pytest.raises(ValueError):
-        cli.parse_partition_spec("0^2", env)  # non-positive part
+        partition("0^2", env)  # non-positive part
     with pytest.raises(ValueError):
-        cli.parse_partition_spec("2,,1", env)
+        partition("2,,1", env)
 
 
 def test_parse_f_spec():
     env = {"g": 3, "r": 2, "d": 4}
     mu = Partition([2, 2])
-    assert cli.parse_f_spec("2", env, mu) == 2
-    assert cli.parse_f_spec("d-r", env, mu) == 2
-    assert cli.parse_f_spec("s-2", env, mu) == 2
+    assert f_value("2", env, mu) == 2
+    assert f_value("d-r", env, mu) == 2
+    assert f_value("s-2", env, mu) == 2
     # span=s inverts the span formula f = |mu| - span - 1
-    assert cli.parse_f_spec("span=1", env, mu) == 2
-    assert cli.parse_f_spec("span=r-2", env, mu) == 3
+    assert f_value("span=1", env, mu) == 2
+    assert f_value("span=r-2", env, mu) == 3
 
 
 def test_eval_int_expr_long_chain_is_not_recursive():
-    assert cli.eval_int_expr("+".join(["1"] * 1500), {}) == 1500
-    assert cli.eval_int_expr("*".join(["r"] * 1500), {"r": 1}) == 1
+    assert evaluate("+".join(["1"] * 1500), {}) == 1500
+    assert evaluate("*".join(["r"] * 1500), {"r": 1}) == 1
 
 
 def test_eval_int_expr_nesting_limit():
     env = {"r": 2}
     depth = cli.MAX_NESTING
-    assert cli.eval_int_expr("(" * depth + "r" + ")" * depth, env) == 2
-    assert cli.eval_int_expr("-" * depth + "r", env) == 2
+    assert evaluate("(" * depth + "r" + ")" * depth, env) == 2
+    assert evaluate("-" * depth + "r", env) == 2
     depth += 1
     for text in ("(" * depth + "r" + ")" * depth, "-" * depth + "r"):
         with pytest.raises(ValueError, match="nests deeper than"):
-            cli.eval_int_expr(text, env)
+            evaluate(text, env)
 
 
 def test_deep_nesting_exits_2(capsys):
@@ -92,8 +107,8 @@ def test_deep_nesting_exits_2(capsys):
 
 def test_partition_spec_bounds_parts_before_allocating():
     with pytest.raises(ValueError, match=r"partition item '1\^999999999' takes the partition past 1000000 parts"):
-        cli.parse_partition_spec("2,1^999999999", {})
-    assert len(cli.parse_partition_spec(f"1^{cli.MAX_PARTS}", {})) == cli.MAX_PARTS
+        partition("2,1^999999999", {})
+    assert len(partition(f"1^{cli.MAX_PARTS}", {})) == cli.MAX_PARTS
 
 
 def test_partition_spec_first_error_wins():
@@ -316,10 +331,10 @@ def test_compiled_specs_match_interpreting_oracle(text, cells, parts):
     compiled_f = cli.compile_f_spec(text, ("g", "r", "d"))
     for env in cells:  # one compiled form serves every cell, as in a sweep
         assert outcome(compiled_mu, env) == outcome(oracle_partition_entry, text, env)
-        assert outcome(cli.parse_partition_spec, text, env) == outcome(oracle_parse_partition_spec, text, env)
+        assert outcome(partition, text, env) == outcome(oracle_parse_partition_spec, text, env)
         expected_f = outcome(oracle_parse_f_spec, text, env, mu)
         assert outcome(compiled_f, env, mu) == expected_f
-        assert outcome(cli.parse_f_spec, text, env, mu) == expected_f
+        assert outcome(f_value, text, env, mu) == expected_f
 
 
 def test_parse_range():
@@ -412,6 +427,21 @@ def test_identity_rejects_bad_options(capsys, argv, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_identity_sample_limit(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the limit is checked before any sample is drawn")
+
+    monkeypatch.setattr(lls, "proof_identity", unreachable)
+    for samples in (cli.MAX_SAMPLES + 1, 10**30):
+        assert cli.main(["identity", "--samples", str(samples)]) == 2
+        assert capsys.readouterr() == ("", f"error: --samples must be <= 100000, got {samples}\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 3)
+    assert run(["identity", "--samples", "3"], capsys) == (0, "3/3 identity holds\n")
+    assert cli.main(["identity", "--samples", "4", "--lo", "5", "--hi", "2"]) == 2
+    assert capsys.readouterr().err == "error: --samples must be <= 3, got 4\n"
+
+
 # ---------------------------------------------------------------------------
 # validation failures exit 2
 # ---------------------------------------------------------------------------
@@ -502,7 +532,7 @@ def test_negative_rho_single_command_exits_2(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_path_disagreement_exits_3(capsys, monkeypatch):
+def _skew_bracket(monkeypatch):
     real = dejonq.dj_count
 
     def skewed(g, r, d, mu, path="coefficient"):
@@ -510,38 +540,61 @@ def test_path_disagreement_exits_3(capsys, monkeypatch):
         if path == "bracket":
             return CountResult(result.value + 1, result.path, result.ordered_value)
         return result
-
     monkeypatch.setattr(dejonq, "dj_count", skewed)
-    code, out = run(["count", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2", "--format", "json"], capsys)
-    assert code == 3
-    record = json.loads(out)
-    assert record["cross_check_delta"] == 1
-    assert record["status"].startswith("cross-check failed")
 
 
-def test_integrality_violation_exits_3(capsys, monkeypatch):
+def _break_dj_count(monkeypatch):
     def broken(g, r, d, mu, path="coefficient"):
         raise IntegralityError("2 does not divide 57")
-
     monkeypatch.setattr(dejonq, "dj_count", broken)
-    code, out = run(["count", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2", "--format", "json"], capsys)
-    assert code == 3
-    record = json.loads(out)
-    assert record["result"] is None
-    assert record["status"].startswith("integrality violation")
 
 
-def test_plucker_integrality_violation_exits_3(capsys, monkeypatch):
-    def broken(g, r, d, mu, path="coefficient"):
-        raise IntegralityError("2 does not divide 57")
+def _skew_plucker_total(monkeypatch):
+    real = dejonq.plucker_total
+    monkeypatch.setattr(dejonq, "plucker_total", lambda g, r, d: real(g, r, d) - 2)
 
-    monkeypatch.setattr(dejonq, "dj_count", broken)
-    code, out = run(["plucker", "--g", "3", "--r", "2", "--d", "4", "--format", "json"], capsys)
-    assert code == 3
-    record = json.loads(out)
-    assert record["result"] is None
-    assert record["cross_check_delta"] is None
-    assert record["status"] == "integrality violation: 2 does not divide 57"
+
+def _break_identity_at_even_g(monkeypatch):
+    def proof_identity(g, m, r, d, mu_total, f):
+        return g, g + (g % 2 == 0)
+    monkeypatch.setattr(lls, "proof_identity", proof_identity)
+
+
+COUNT_ARGV = ["count", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2"]
+PLUCKER_ARGV = ["plucker", "--g", "3", "--r", "2", "--d", "4"]
+IDENTITY_ARGV = ["identity", "--samples", "20", "--seed", "1"]
+COUNT_INPUTS = {"inputs": {"g": 3, "r": 2, "d": 4, "mu": "2,2"}, "paths": ["bracket", "coefficient"]}
+PLUCKER_INPUTS = {"inputs": {"g": 3, "r": 2, "d": 4}, "paths": ["coefficient", "closed_form"]}
+INTEGRALITY = {
+    "result": None, "cross_check_delta": None,
+    "status": "integrality violation: 2 does not divide 57", "verdict": None,
+}
+
+
+@pytest.mark.parametrize("argv, patch, record, plain", [
+    (COUNT_ARGV, _skew_bracket, {
+        **COUNT_INPUTS, "result": 28, "cross_check_delta": 1,
+        "status": "cross-check failed: bracket and coefficient paths disagree", "verdict": "possible",
+    }, None),
+    (COUNT_ARGV, _break_dj_count, {**COUNT_INPUTS, **INTEGRALITY}, None),
+    (PLUCKER_ARGV, _skew_plucker_total, {
+        **PLUCKER_INPUTS, "result": 22, "cross_check_delta": 2,
+        "status": "cross-check failed: count and closed form disagree", "verdict": None,
+    }, None),
+    (PLUCKER_ARGV, _break_dj_count, {**PLUCKER_INPUTS, **INTEGRALITY}, None),
+    (IDENTITY_ARGV, _break_identity_at_even_g, {
+        "inputs": {"samples": 20, "seed": 1, "lo": -5, "hi": 20}, "result": 13, "paths": ["polynomial"],
+        "cross_check_delta": 7, "status": "cross-check failed: 7 tuples violate the identity", "verdict": None,
+    }, "13/20 identity holds (7 failures)\n"),
+], ids=[
+    "count-disagreement", "count-integrality", "plucker-disagreement", "plucker-integrality", "identity-failures",
+])
+def test_cross_check_failure_exits_3_with_its_record(capsys, monkeypatch, argv, patch, record, plain):
+    patch(monkeypatch)
+    code, out = run([*argv, "--format", "json"], capsys)
+    assert (code, json.loads(out)) == (3, record)
+    if plain is not None:
+        assert run(argv, capsys) == (3, plain)
 
 
 # ---------------------------------------------------------------------------
