@@ -1,93 +1,16 @@
 """Exact-arithmetic calculator for contact-divisor (de Jonquieres) counts and
 Brill-Noether dimension theory of linear series on algebraic curves."""
 
-from .bn import (
-    DJProblem,
-    SeriesParams,
-    corollary_degenerate_tangents,
-    corollary_flex_bitangent,
-    corollary_tangent_hyperplane_dim,
-    corollary_tangential_secant,
-    corollary_total_ramification,
-    expected_dim_fixed_series,
-    expected_dim_sigma,
-    is_empty_for_general_curve,
-    rho,
-    rho_adjusted,
-    rho_raw,
-    span_dimension,
-)
-from .dejonq import (
-    CountResult,
-    bracket,
-    coefficient_count,
-    dj_count,
-    double_point_count,
-    odd_theta_count,
-    plucker_total,
-    ramification_count_check,
-    tangential_trisecant_count,
-)
+from . import bn, dejonq, exact, lls
+from .bn import *  # noqa: F403
+from .dejonq import *  # noqa: F403
 from .errors import ContractViolation, HypothesisViolation, IntegralityError
-from .exact import Partition, binomial, elementary_symmetric, falling_factorial
-from .lls import (
-    RamificationSequence,
-    VanishingSequence,
-    additivity_check,
-    case_ii_min_sequence,
-    complementary_vanishing,
-    is_refined_pair,
-    plucker_identity_check,
-    proof_identity,
-    ramification_from_vanishing,
-    split_sequence,
-    vanishing_from_ramification,
-    weight,
-)
+from .exact import *  # noqa: F403
+from .lls import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Partition",
-    "falling_factorial",
-    "binomial",
-    "elementary_symmetric",
-    "CountResult",
-    "bracket",
-    "coefficient_count",
-    "dj_count",
-    "double_point_count",
-    "plucker_total",
-    "ramification_count_check",
-    "tangential_trisecant_count",
-    "odd_theta_count",
-    "SeriesParams",
-    "DJProblem",
-    "rho",
-    "rho_raw",
-    "rho_adjusted",
-    "expected_dim_sigma",
-    "expected_dim_fixed_series",
-    "is_empty_for_general_curve",
-    "span_dimension",
-    "corollary_tangential_secant",
-    "corollary_degenerate_tangents",
-    "corollary_tangent_hyperplane_dim",
-    "corollary_flex_bitangent",
-    "corollary_total_ramification",
-    "VanishingSequence",
-    "RamificationSequence",
-    "ramification_from_vanishing",
-    "vanishing_from_ramification",
-    "weight",
-    "complementary_vanishing",
-    "is_refined_pair",
-    "split_sequence",
-    "additivity_check",
-    "case_ii_min_sequence",
-    "proof_identity",
-    "plucker_identity_check",
-    "ContractViolation",
-    "HypothesisViolation",
-    "IntegralityError",
+    *exact.__all__, *dejonq.__all__, *bn.__all__, *lls.__all__,
+    "ContractViolation", "HypothesisViolation", "IntegralityError",
 ]

@@ -70,6 +70,11 @@ MAX_PARTS = 1_000_000
 # oversized grid allocates nothing.
 MAX_CELLS = 200_000
 
+# The most characters of partition text the records of one request hold,
+# about 50 MB of peak memory in any format; checked cell by cell, so an
+# oversized sweep stops before it is rendered.
+MAX_MU_TEXT = 10_000_000
+
 # The most parts a count takes: the bracket route is O(e^3), and at this
 # length it still takes about a second.
 MAX_COUNT_PARTS = 300
@@ -406,13 +411,19 @@ def _cmd_cells(args):
     mu_of = compile_partition_spec(args.mu, names, dict(zip(names, grid)))
     f_of = None if what == "count" else compile_f_spec(args.f, names)
     records = []
-    code = 0
+    code = text = 0
     for g in grid[0]:
         for r in grid[1]:
             for d in grid[2]:
                 record, cell_code, error = evaluate_cell(what, g, r, d, args.mu, mu_of, args.f, f_of)
                 if error is not None and not sweep:
                     raise error
+                text += len(record["inputs"]["mu"])
+                if text > MAX_MU_TEXT:
+                    raise ValueError(
+                        f"a request writes at most {MAX_MU_TEXT} characters of partition text,"
+                        f" passed at g={g}, r={r}, d={d}"
+                    )
                 records.append(record)
                 code = max(code, cell_code)
     return records, code
@@ -475,14 +486,13 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _plain_line(record) -> str:
-    bits = [f"{k}={_cell(v)}" for k, v in record["inputs"].items()]
-    bits.append(f"result={_cell(record['result'])}")
-    bits.append(f"paths={'+'.join(record['paths'])}")
-    bits.append(f"delta={_cell(record['cross_check_delta'])}")
-    bits.append(f"status={record['status']}")
-    bits.append(f"verdict={_cell(record['verdict'])}")
-    return " ".join(bits)
+def _row(record) -> tuple[str, ...]:
+    """A record's plain and CSV fields: its input values, result, paths
+    joined with '+', delta, status and verdict."""
+    return (
+        *map(_cell, record["inputs"].values()), _cell(record["result"]), "+".join(record["paths"]),
+        _cell(record["cross_check_delta"]), _cell(record["status"]), _cell(record["verdict"]),
+    )
 
 
 # How json.dumps writes each leaf type of a record.
@@ -514,60 +524,45 @@ def _json_list(strings, pad: str) -> str:
     return f"[{newline}{items}\n{pad}  ]"
 
 
-def _json_records(records, many: bool) -> str:
-    """json.dumps(records if many else records[0], indent=2), written
-    through one template per tuple of input keys; the pure-Python encoder
-    that json.dumps uses for indented output costs more than the cells."""
-    pad = "  " if many else ""
-    leaf = _JSON_LEAF
-    templates = {}
-    chunks = []
-    for record in records if many else records[:1]:
-        inputs = record["inputs"]
-        keys = tuple(inputs)
-        template = templates.get(keys)
-        if template is None:
-            template = templates[keys] = _json_record_template(keys, pad)
-        result, delta, status, verdict = (
-            record["result"], record["cross_check_delta"], record["status"], record["verdict"]
-        )
-        chunks.append(template % (
-            *[leaf[type(value)](value) for value in inputs.values()],
-            leaf[type(result)](result), _json_list(record["paths"], pad), leaf[type(delta)](delta),
-            leaf[type(status)](status), leaf[type(verdict)](verdict),
-        ))
-    if many:
-        return "[\n" + ",\n".join(chunks) + "\n]\n"
-    return chunks[0] + "\n"
-
-
-def render(records, fmt: str, many: bool, command: str) -> str:
-    if fmt == "json":
-        return _json_records(records, many)
-    if fmt == "csv":
-        columns = list(records[0]["inputs"].keys()) + [
-            "result", "paths", "cross_check_delta", "status", "verdict",
-        ]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for record in records:
-            row = [_cell(record["inputs"].get(k)) for k in columns[: len(record["inputs"])]]
-            row.append(_cell(record["result"]))
-            row.append("+".join(record["paths"]))
-            row.append(_cell(record["cross_check_delta"]))
-            row.append(record["status"])
-            row.append(_cell(record["verdict"]))
-            writer.writerow(row)
-        return buf.getvalue()
-    if command == "identity":
+def render(records, fmt: str, command: str) -> str:
+    """The records of one command in `fmt`.  They all have the input keys of
+    the first, so each format's layout is built once: json is
+    json.dumps(records if a sweep else the one record, indent=2), written
+    through a %-template since the pure-Python encoder that json.dumps uses
+    for indented output costs more than the cells; csv is a header and a row
+    per record, plain a line per record, both from `_row`."""
+    if fmt == "plain" and command == "identity":
         record = records[0]
         passes, samples = record["result"], record["inputs"]["samples"]
         line = f"{passes}/{samples} identity holds"
         if passes != samples:
             line += f" ({samples - passes} failures)"
         return line + "\n"
-    return "\n".join(_plain_line(record) for record in records) + "\n"
+    keys = tuple(records[0]["inputs"])
+    if fmt == "json":
+        many = command == "sweep"
+        pad = "  " if many else ""
+        template, leaf = _json_record_template(keys, pad), _JSON_LEAF
+        chunks = []
+        for record in records:
+            result, delta, status, verdict = (
+                record["result"], record["cross_check_delta"], record["status"], record["verdict"]
+            )
+            chunks.append(template % (
+                *[leaf[type(value)](value) for value in record["inputs"].values()],
+                leaf[type(result)](result), _json_list(record["paths"], pad), leaf[type(delta)](delta),
+                leaf[type(status)](status), leaf[type(verdict)](verdict),
+            ))
+        body = ",\n".join(chunks)
+        return f"[\n{body}\n]\n" if many else body + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow((*keys, "result", "paths", "cross_check_delta", "status", "verdict"))
+        writer.writerows(map(_row, records))
+        return buf.getvalue()
+    line = " ".join(f"{key}=%s" for key in (*keys, "result", "paths", "delta", "status", "verdict"))
+    return "\n".join([line % _row(record) for record in records]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +633,7 @@ def run(argv) -> tuple[int, str]:
     if args.command == "sweep" and args.what in ("dim", "empty") and args.f is None:
         raise ValueError("--f is required for --what dim/empty")
     records, code = COMMANDS[args.command](args)
-    return code, render(records, args.format, many=args.command == "sweep", command=args.command)
+    return code, render(records, args.format, args.command)
 
 
 def main(argv=None) -> int:

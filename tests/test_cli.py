@@ -690,11 +690,12 @@ def test_huge_sweep_exits_2_before_any_cell(capsys, monkeypatch):
 def test_sweep_cell_limit_admits_the_160400_cell_grid(monkeypatch):
     # a 160,400-cell grid is under the cap; each cell is stubbed to keep the test fast
     evaluated = 0
+    record = cli._record({"g": 0, "r": 1, "d": 1, "mu": "1", "f": 0}, 0, ["dimension"], None, "ok", "possible")
 
     def cell(*args):
         nonlocal evaluated
         evaluated += 1
-        return None, 0, None
+        return record, 0, None
 
     monkeypatch.setattr(cli, "evaluate_cell", cell)
     monkeypatch.setattr(cli, "render", lambda *args, **kwargs: "")
@@ -702,6 +703,32 @@ def test_sweep_cell_limit_admits_the_160400_cell_grid(monkeypatch):
             "--what", "dim"]
     assert cli.run(argv) == (0, "")
     assert evaluated == 160_400
+
+
+def test_sweep_partition_text_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_MU_TEXT", 21)
+    argv = ["sweep", "--what", "dim", "--r", "1", "--d", "4", "--mu", "1^d", "--f", "0", "--format", "csv"]
+    code, out = run([*argv, "--g", "0:2"], capsys)  # three cells of '1,1,1,1': 21 characters, at the limit
+    assert (code, len(out.splitlines())) == (0, 4)
+
+    def unreachable(*args):
+        raise AssertionError("the partition text is bounded before the records are rendered")
+
+    monkeypatch.setattr(cli, "render", unreachable)
+    assert cli.main([*argv, "--g", "0:9"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: a request writes at most 21 characters of partition text, passed at g=3, r=1, d=4\n"
+    )
+
+
+def test_sweep_partition_text_limit_admits_the_cap_sweep():
+    # --mu does not read g, so each of the cap sweep's 500 values of g adds
+    # the text of the g=0 slice
+    argv = ["sweep", "--what", "dim", "--g", "0", "--r", "1:20", "--d", "1:20", "--mu", "2^r,1^(d-2*r)",
+            "--f", "span=r-1"]
+    records, _ = cli._cmd_cells(cli.build_parser().parse_args(argv))
+    text = 500 * sum(len(record["inputs"]["mu"]) for record in records)
+    assert text == 2_900_000 <= cli.MAX_MU_TEXT
 
 
 def test_sweep_requires_f_for_dim(capsys):
@@ -740,30 +767,67 @@ def test_csv_and_json_records_match(capsys):
         assert cells["verdict"] == (record["verdict"] or "")
 
 
+# render builds each format's layout from the first record's input keys.
+@pytest.mark.parametrize("argv, keys", [
+    (SWEEP, ("g", "r", "d", "mu")),  # 24 ok and 6 skipped rows
+    (["sweep", "--what", "dim", "--g", "0:6", "--r", "1:2", "--d", "4", "--mu", "2^(r-2),1^2", "--f", "span=r-1"],
+     ("g", "r", "d", "mu", "f")),  # skipped at the partition (r=1) and at rho < 0 (large g)
+    (["sweep", "--what", "empty", "--g", "0:6", "--r", "2", "--d", "4", "--mu", "2,2", "--f", "2"],
+     ("g", "r", "d", "mu", "f")),
+    (["plucker", "--g", "3", "--r", "2", "--d", "4"], ("g", "r", "d")),
+    (["identity", "--samples", "5"], ("samples", "seed", "lo", "hi")),
+])
+def test_records_of_one_command_share_their_input_keys(argv, keys):
+    code, out = cli.run([*argv, "--format", "json"])
+    assert code == 0
+    records = json.loads(out) if argv[0] == "sweep" else [json.loads(out)]
+    assert {tuple(record["inputs"]) for record in records} == {keys}
+    if argv[0] == "sweep":
+        assert {record["status"].split(":")[0] for record in records} == {"ok", "skipped"}
+
+
 # Leaves of every type a record holds, with the strings json escapes.
 json_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.integers(min_value=2**64, max_value=2**300), st.integers(min_value=-(2**300), max_value=-(2**64)),
     st.text(), st.text(alphabet='"\\\n\t\x00\x1f\x7f%é€😀ab'),
 )
-input_keys = st.sampled_from([
-    ("g", "r", "d", "mu"),  # count
-    ("g", "r", "d", "mu", "f"),  # dim, empty
-    ("g", "r", "d"),  # plucker
-    ("samples", "seed", "lo", "hi"),  # identity
-])
-json_records = st.builds(
-    cli._record,
-    input_keys.flatmap(lambda keys: st.fixed_dictionaries({key: json_leaves for key in keys})),
-    json_leaves, st.lists(st.text(alphabet='"\\\n%éab_'), max_size=3), json_leaves, json_leaves, json_leaves,
-)
+json_paths = st.text(alphabet='"\\\n%éab_')
+
+# The input keys of each command's records; every record of one command has
+# the same keys (see test_records_of_one_command_share_their_input_keys).
+COMMAND_KEYS = [
+    (("g", "r", "d", "mu"), "count"),
+    (("g", "r", "d", "mu"), "sweep"),
+    (("g", "r", "d", "mu", "f"), "dim"),
+    (("g", "r", "d", "mu", "f"), "empty"),
+    (("g", "r", "d", "mu", "f"), "sweep"),
+    (("g", "r", "d"), "plucker"),
+    (("samples", "seed", "lo", "hi"), "identity"),
+]
 
 
+# Inputs with the command's keys in its order; fixed_dictionaries may draw
+# them in another.
+def inputs_of(keys, leaves):
+    return st.tuples(*[leaves] * len(keys)).map(lambda values: dict(zip(keys, values)))
+
+
+# Records with these input keys, these leaves and these path and status texts.
+def records_of(keys, leaves, text, status):
+    return st.builds(
+        cli._record, inputs_of(keys, leaves), leaves, st.lists(text, max_size=3), leaves, status, leaves,
+    )
+
+
+# A sweep writes a list of records, any other command its one record.
 @settings(max_examples=400, deadline=None)
-@given(st.lists(json_records, min_size=1, max_size=4), st.booleans())
-def test_json_output_is_json_dumps(records, many):
-    expected = json.dumps(records if many else records[0], indent=2) + "\n"
-    assert cli.render(records, "json", many, "sweep") == expected
+@given(st.sampled_from(COMMAND_KEYS).flatmap(lambda kc: st.tuples(st.just(kc[1]), st.lists(
+    records_of(kc[0], json_leaves, json_paths, json_leaves), min_size=1, max_size=4 if kc[1] == "sweep" else 1))))
+def test_json_output_is_json_dumps(command_records):
+    command, records = command_records
+    expected = json.dumps(records if command == "sweep" else records[0], indent=2) + "\n"
+    assert cli.render(records, "json", command) == expected
 
 
 def test_json_output_keeps_the_int_conversion_limit():
@@ -771,5 +835,66 @@ def test_json_output_keeps_the_int_conversion_limit():
     with pytest.raises(ValueError) as expected:
         json.dumps(record, indent=2)
     with pytest.raises(ValueError) as got:
-        cli.render([record], "json", False, "plucker")
+        cli.render([record], "json", "plucker")
     assert str(got.value) == str(expected.value)
+
+
+# Reference writers for the plain and CSV formats: a line or row per record,
+# built field by field.
+def _cell_oracle(value):
+    if value is None:
+        return ""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return str(value)
+
+
+def plain_oracle(records):
+    lines = []
+    for record in records:
+        bits = [f"{k}={_cell_oracle(v)}" for k, v in record["inputs"].items()]
+        bits.append(f"result={_cell_oracle(record['result'])}")
+        bits.append(f"paths={'+'.join(record['paths'])}")
+        bits.append(f"delta={_cell_oracle(record['cross_check_delta'])}")
+        bits.append(f"status={record['status']}")
+        bits.append(f"verdict={_cell_oracle(record['verdict'])}")
+        lines.append(" ".join(bits))
+    return "\n".join(lines) + "\n"
+
+
+def csv_oracle(records):
+    columns = list(records[0]["inputs"].keys()) + ["result", "paths", "cross_check_delta", "status", "verdict"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for record in records:
+        row = [_cell_oracle(record["inputs"].get(k)) for k in columns[: len(record["inputs"])]]
+        row.append(_cell_oracle(record["result"]))
+        row.append("+".join(record["paths"]))
+        row.append(_cell_oracle(record["cross_check_delta"]))
+        row.append(record["status"])
+        row.append(_cell_oracle(record["verdict"]))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+# Leaves with the characters that CSV quotes and that plain and %-templates
+# treat specially; a status is always a string.
+row_text = st.text(alphabet=',"\n\r=% é€😀ab')
+row_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2**64, max_value=2**300), st.integers(min_value=-(2**300), max_value=-(2**64)),
+    row_text,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(COMMAND_KEYS).flatmap(lambda kc: st.tuples(st.just(kc[1]), st.lists(
+    records_of(kc[0], row_leaves, row_text, row_text), min_size=1, max_size=4))))
+def test_plain_and_csv_output_match_the_reference_writers(command_records):
+    command, records = command_records
+    assert cli.render(records, "csv", command) == csv_oracle(records)
+    if command != "identity":
+        assert cli.render(records, "plain", command) == plain_oracle(records)
