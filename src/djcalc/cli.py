@@ -1,11 +1,12 @@
 """Command-line front end: counts, dimensions, emptiness verdicts, identity
 checks and parameter-grid sweeps, in machine-readable formats.
 
-Every record carries the same fields (inputs, result, paths,
-cross_check_delta, status, verdict) and rows come out in a fixed order, so
-identical invocations produce byte-identical output.  Exit codes: 0 success,
-2 validation error, 3 internal cross-check failure (the offending record is
-still emitted, with a failure marker in its status).
+Every record is one flat tuple: its command's input values in the order of
+`KEYS`, then result, paths, cross_check_delta, status and verdict.  Rows come
+out in a fixed order, so identical invocations produce byte-identical
+output.  Exit codes: 0 success, 2 validation error, 3 internal cross-check
+failure (the offending record is still emitted, with a failure marker in its
+status).
 """
 
 from __future__ import annotations
@@ -78,6 +79,13 @@ MAX_MU_TEXT = 10_000_000
 # The most parts a count takes: the bracket route is O(e^3), and at this
 # length it still takes about a second.
 MAX_COUNT_PARTS = 300
+
+# The most work the counts of one request take, as the sum of e^3 over its
+# count cells of e parts each, the bracket route's cost; checked before each
+# cell's count.  A request at the bound runs for about 3 to 10 s when its
+# cells have 14 to 300 parts.  Below that the per-cell cost is not cubic,
+# and MAX_CELLS bounds the sweep.
+MAX_COUNT_WORK = 100_000_000
 
 # The most samples `identity` draws: about a second of proof_identity calls.
 MAX_SAMPLES = 100_000
@@ -308,15 +316,21 @@ def parse_range(text: str) -> range:
 # records
 # ---------------------------------------------------------------------------
 
-def _record(inputs, result, paths, delta, status, verdict):
-    return {
-        "inputs": inputs,
-        "result": result,
-        "paths": list(paths),
-        "cross_check_delta": delta,
-        "status": status,
-        "verdict": verdict,
-    }
+# The input keys of each command's records, in order; a sweep's records
+# have the keys of its --what.  After the input values a record holds
+# result, paths (a tuple of strings), cross_check_delta, status and verdict.
+KEYS = {
+    "count": ("g", "r", "d", "mu"),
+    "dim": ("g", "r", "d", "mu", "f"),
+    "empty": ("g", "r", "d", "mu", "f"),
+    "plucker": ("g", "r", "d"),
+    "identity": ("samples", "seed", "lo", "hi"),
+}
+
+
+class _CountWorkLimit(Exception):
+    """A request's counts passed MAX_COUNT_WORK.  Not a ValueError, so that
+    evaluate_cell stops the request instead of skipping the cell."""
 
 
 def _mu_text(mu: Partition) -> str:
@@ -332,7 +346,9 @@ def _check_count_parts(e: int) -> None:
         raise ValueError(f"a count takes at most {MAX_COUNT_PARTS} parts, got {e}")
 
 
-def _cross_check(inputs, paths, checked: Callable[[], tuple[int, int]], disagreement: str, verdict=None):
+def _cross_check(
+    inputs: tuple, paths: tuple[str, ...], checked: Callable[[], tuple[int, int]], disagreement: str, verdict=None
+):
     """A cross-checked result as (record, exit code).  `checked` returns
     (value, check); the record holds value as its result and check - value
     as its delta.  A nonzero delta or an IntegralityError gives a failure
@@ -340,19 +356,19 @@ def _cross_check(inputs, paths, checked: Callable[[], tuple[int, int]], disagree
     try:
         value, check = checked()
     except IntegralityError as exc:
-        return _record(inputs, None, paths, None, f"integrality violation: {exc}", None), 3
+        return (*inputs, None, paths, None, f"integrality violation: {exc}", None), 3
     delta = check - value
     status = "ok" if delta == 0 else f"cross-check failed: {disagreement}"
-    return _record(inputs, value, paths, delta, status, verdict), (0 if delta == 0 else 3)
+    return (*inputs, value, paths, delta, status, verdict), (0 if delta == 0 else 3)
 
 
-def _count_record(inputs, g: int, r: int, d: int, mu: Partition):
+def _count_record(g: int, r: int, d: int, mu: Partition, mu_text: str):
     try:  # the dimension theorem at f = d - r, when its hypotheses hold
         verdict = _verdict(bn.expected_dim(g, r, d, mu.length, mu.total, d - r))
     except ValueError:
         verdict = None
     return _cross_check(
-        inputs, ["bracket", "coefficient"],
+        (g, r, d, mu_text), ("bracket", "coefficient"),
         lambda: (dejonq.dj_count(g, r, d, mu, path="coefficient").value,
                  dejonq.dj_count(g, r, d, mu, path="bracket").value),
         "bracket and coefficient paths disagree", verdict,
@@ -363,10 +379,12 @@ def evaluate_cell(
     what: str, g: int, r: int, d: int,
     mu_spec: str, mu_of: Callable[[dict[str, int]], tuple[Partition, str]],
     f_spec: str | None, f_of: Callable[[dict[str, int], Partition], int] | None,
+    charge: Callable[[int, int, int, int], None],
 ):
     """One (g, r, d) cell of a count, dim or empty request, from the compiled
     specs `mu_of` (the partition and its record text) and `f_of`: returns
-    (record, exit code, error).
+    (record, exit code, error).  A count cell calls `charge(g, r, d, e)`
+    before it counts a partition of e parts that the count admits.
 
     A cell that fails validation gives a `skipped: <message>` record, exit
     code 0 and the ValueError.  The record's inputs show each spec's text
@@ -378,17 +396,17 @@ def evaluate_cell(
         mu, mu_text = mu_of(env)
         if what == "count":
             _check_count_parts(mu.length)
-            record, code = _count_record({"g": g, "r": r, "d": d, "mu": mu_text}, g, r, d, mu)
+            if g >= 0 and mu.total == d and mu.length == d - r:  # else the count rejects its inputs at once
+                charge(g, r, d, mu.length)
+            record, code = _count_record(g, r, d, mu, mu_text)
             return record, code, None
         f = f_of(env, mu)
         dim = bn.expected_dim(g, r, d, mu.length, mu.total, f)
     except ValueError as exc:
-        inputs = {"g": g, "r": r, "d": d, "mu": mu_text}
-        if what != "count":
-            inputs["f"] = f
-        return _record(inputs, None, [], None, f"skipped: {exc}", None), 0, exc
-    inputs = {"g": g, "r": r, "d": d, "mu": mu_text, "f": f}
-    return _record(inputs, dim if what == "dim" else dim < 0, ["dimension"], None, "ok", _verdict(dim)), 0, None
+        if what == "count":
+            return (g, r, d, mu_text, None, (), None, f"skipped: {exc}", None), 0, exc
+        return (g, r, d, mu_text, f, None, (), None, f"skipped: {exc}", None), 0, exc
+    return (g, r, d, mu_text, f, dim if what == "dim" else dim < 0, ("dimension",), None, "ok", _verdict(dim)), 0, None
 
 
 # ---------------------------------------------------------------------------
@@ -401,24 +419,35 @@ def _cmd_cells(args):
     cell's validation error where a sweep emits the skipped record."""
     sweep = args.command == "sweep"
     if sweep:
-        what, grid = args.what, (parse_range(args.g), parse_range(args.r), parse_range(args.d))
+        grid = (parse_range(args.g), parse_range(args.r), parse_range(args.d))
         cells = prod(values.stop - values.start for values in grid)  # len() overflows past sys.maxsize
         if cells > MAX_CELLS:
             raise ValueError(f"a sweep takes at most {MAX_CELLS} cells, got {cells}")
     else:
-        what, grid = args.command, ((args.g,), (args.r,), (args.d,))
-    names = ("g", "r", "d")
+        grid = ((args.g,), (args.r,), (args.d,))
+    what, names = args.what, ("g", "r", "d")
     mu_of = compile_partition_spec(args.mu, names, dict(zip(names, grid)))
     f_of = None if what == "count" else compile_f_spec(args.f, names)
+    work = 0
+
+    def charge(g: int, r: int, d: int, e: int) -> None:
+        nonlocal work
+        work += e**3
+        if work > MAX_COUNT_WORK:
+            raise _CountWorkLimit(
+                f"the counts of a request take at most {MAX_COUNT_WORK} in the sum of e^3 over their partitions,"
+                f" passed at g={g}, r={r}, d={d}"
+            )
+
     records = []
     code = text = 0
     for g in grid[0]:
         for r in grid[1]:
             for d in grid[2]:
-                record, cell_code, error = evaluate_cell(what, g, r, d, args.mu, mu_of, args.f, f_of)
+                record, cell_code, error = evaluate_cell(what, g, r, d, args.mu, mu_of, args.f, f_of, charge)
                 if error is not None and not sweep:
                     raise error
-                text += len(record["inputs"]["mu"])
+                text += len(record[3])  # the mu field
                 if text > MAX_MU_TEXT:
                     raise ValueError(
                         f"a request writes at most {MAX_MU_TEXT} characters of partition text,"
@@ -434,7 +463,7 @@ def _cmd_plucker(args):
     if r >= 1 and g >= 0:  # otherwise the count's own precondition names the fault
         _check_count_parts(d - r)  # the count has mu = (r+1, 1^(d-r-1))
     record, code = _cross_check(  # the closed form is the result, the count its check
-        {"g": g, "r": r, "d": d}, ["coefficient", "closed_form"],
+        (g, r, d), ("coefficient", "closed_form"),
         lambda: dejonq.ramification_count_check(g, r, d)[::-1], "count and closed form disagree",
     )
     return [record], code
@@ -447,16 +476,19 @@ def _cmd_identity(args):
         raise ValueError(f"--samples must be <= {MAX_SAMPLES}, got {args.samples}")
     if args.lo > args.hi:
         raise ValueError(f"--lo must be <= --hi, got --lo {args.lo} and --hi {args.hi}")
-    rng = random.Random(args.seed)
+    # lo + randrange(width) draws what randint(lo, hi) draws: both are lo + _randbelow(width)
+    lo, width = args.lo, args.hi - args.lo + 1
+    below, proof_identity = random.Random(args.seed).randrange, lls.proof_identity
     failures = 0
     for _ in range(args.samples):
-        g, m, r, d, s, f = (rng.randint(args.lo, args.hi) for _ in range(6))
-        lhs, rhs = lls.proof_identity(g, m, r, d, s, f)
+        lhs, rhs = proof_identity(  # g, m, r, d, s, f
+            lo + below(width), lo + below(width), lo + below(width),
+            lo + below(width), lo + below(width), lo + below(width),
+        )
         if lhs != rhs:
             failures += 1
-    inputs = {"samples": args.samples, "seed": args.seed, "lo": args.lo, "hi": args.hi}
     record, code = _cross_check(
-        inputs, ["polynomial"], lambda: (args.samples - failures, args.samples),
+        (args.samples, args.seed, args.lo, args.hi), ("polynomial",), lambda: (args.samples - failures, args.samples),
         f"{failures} tuples violate the identity",
     )
     return [record], code
@@ -477,22 +509,16 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def _cell(value) -> str:
+    """A record field as plain and CSV write it; paths are joined with '+'."""
     if value is None:
         return ""
     if value is True:
         return "true"
     if value is False:
         return "false"
+    if type(value) is tuple:
+        return "+".join(value)
     return str(value)
-
-
-def _row(record) -> tuple[str, ...]:
-    """A record's plain and CSV fields: its input values, result, paths
-    joined with '+', delta, status and verdict."""
-    return (
-        *map(_cell, record["inputs"].values()), _cell(record["result"]), "+".join(record["paths"]),
-        _cell(record["cross_check_delta"]), _cell(record["status"]), _cell(record["verdict"]),
-    )
 
 
 # How json.dumps writes each leaf type of a record.
@@ -505,9 +531,9 @@ _JSON_LEAF = {
 
 
 def _json_record_template(keys: tuple[str, ...], pad: str) -> str:
-    """The layout json.dumps(..., indent=2) gives a `_record` with these input
-    keys, indented by `pad`: a %-template with one %s per input value, then
-    one each for result, paths, cross_check_delta, status and verdict."""
+    """The layout json.dumps(..., indent=2) gives a record with these input
+    keys, as an "inputs" object, indented by `pad`: a %-template with one %s
+    per field of the record."""
     inputs = ",".join(f"\n{pad}    {encode_basestring_ascii(key)}: %s" for key in keys)
     return (
         f'{pad}{{\n{pad}  "inputs": {{{inputs}\n{pad}  }},\n{pad}  "result": %s,\n{pad}  "paths": %s,\n'
@@ -524,45 +550,38 @@ def _json_list(strings, pad: str) -> str:
     return f"[{newline}{items}\n{pad}  ]"
 
 
-def render(records, fmt: str, command: str) -> str:
-    """The records of one command in `fmt`.  They all have the input keys of
-    the first, so each format's layout is built once: json is
-    json.dumps(records if a sweep else the one record, indent=2), written
-    through a %-template since the pure-Python encoder that json.dumps uses
-    for indented output costs more than the cells; csv is a header and a row
-    per record, plain a line per record, both from `_row`."""
-    if fmt == "plain" and command == "identity":
+def render(records, fmt: str, command: str, what: str) -> str:
+    """The records of `command` in `fmt`, with the input keys of `what` (a
+    sweep's --what, else the command), so each format's layout is built once
+    from `KEYS`: json is json.dumps(records if a sweep else the one record,
+    indent=2) with each record's input values as an "inputs" object and its
+    paths as a list, written through a %-template since the pure-Python
+    encoder that json.dumps uses for indented output costs more than the
+    cells; csv is a header and a row per record, plain a line per record,
+    both of `_cell`s."""
+    keys = KEYS[what]
+    if fmt == "plain" and what == "identity":
         record = records[0]
-        passes, samples = record["result"], record["inputs"]["samples"]
+        samples, passes = record[0], record[len(keys)]
         line = f"{passes}/{samples} identity holds"
         if passes != samples:
             line += f" ({samples - passes} failures)"
         return line + "\n"
-    keys = tuple(records[0]["inputs"])
     if fmt == "json":
         many = command == "sweep"
         pad = "  " if many else ""
-        template, leaf = _json_record_template(keys, pad), _JSON_LEAF
-        chunks = []
-        for record in records:
-            result, delta, status, verdict = (
-                record["result"], record["cross_check_delta"], record["status"], record["verdict"]
-            )
-            chunks.append(template % (
-                *[leaf[type(value)](value) for value in record["inputs"].values()],
-                leaf[type(result)](result), _json_list(record["paths"], pad), leaf[type(delta)](delta),
-                leaf[type(status)](status), leaf[type(verdict)](verdict),
-            ))
-        body = ",\n".join(chunks)
+        template = _json_record_template(keys, pad)
+        leaf = {**_JSON_LEAF, tuple: lambda paths: _json_list(paths, pad)}
+        body = ",\n".join([template % tuple([leaf[type(value)](value) for value in record]) for record in records])
         return f"[\n{body}\n]\n" if many else body + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow((*keys, "result", "paths", "cross_check_delta", "status", "verdict"))
-        writer.writerows(map(_row, records))
+        writer.writerows(map(_cell, record) for record in records)
         return buf.getvalue()
     line = " ".join(f"{key}=%s" for key in (*keys, "result", "paths", "delta", "status", "verdict"))
-    return "\n".join([line % _row(record) for record in records]) + "\n"
+    return "\n".join([line % tuple(map(_cell, record)) for record in records]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", parents=[series], help="contact-divisor count via both evaluation paths")
     p.add_argument("--mu", required=True, help="partition, e.g. '2,2' or '2^3,1^2'")
-    p.set_defaults(f=None)
+    p.set_defaults(f=None, what="count")
     add_format(p)
 
     p = sub.add_parser("dim", parents=[series], help="expected dimension of the universal secant locus")
     p.add_argument("--mu", required=True)
     p.add_argument("--f", required=True, help="rank deficiency: integer, expression, or 'span=<s>'")
+    p.set_defaults(what="dim")
     add_format(p)
 
     p = sub.add_parser(
@@ -598,9 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mu", required=True)
     p.add_argument("--f", required=True)
+    p.set_defaults(what="empty")
     add_format(p)
 
     p = sub.add_parser("plucker", parents=[series], help="simple-ramification count against the closed-form total")
+    p.set_defaults(what="plucker")
     add_format(p)
 
     p = sub.add_parser("identity", help="randomized check of the dimension-count identity")
@@ -608,6 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lo", type=int, default=-5)
     p.add_argument("--hi", type=int, default=20)
+    p.set_defaults(what="identity")
     add_format(p)
 
     p = sub.add_parser("sweep", help="evaluate a grid of (g, r, d) cells in fixed order")
@@ -633,13 +656,13 @@ def run(argv) -> tuple[int, str]:
     if args.command == "sweep" and args.what in ("dim", "empty") and args.f is None:
         raise ValueError("--f is required for --what dim/empty")
     records, code = COMMANDS[args.command](args)
-    return code, render(records, args.format, args.command)
+    return code, render(records, args.format, args.command, args.what)
 
 
 def main(argv=None) -> int:
     try:
         code, output = run(argv)
-    except (ContractViolation, HypothesisViolation, ValueError) as exc:
+    except (ContractViolation, HypothesisViolation, ValueError, _CountWorkLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(output)

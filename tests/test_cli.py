@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 import re
 
 import pytest
@@ -427,6 +428,23 @@ def test_identity_rejects_bad_options(capsys, argv, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("seed, lo, hi", [
+    (0, -5, 20), (7, 3, 3), (11, -40, -2), (-3, 0, 1), (2**70, -9, 10**30),
+])
+def test_identity_draws_what_randint_draws(monkeypatch, seed, lo, hi):
+    drawn = []
+
+    def proof_identity(*args):
+        drawn.append(args)
+        return 0, 0
+
+    monkeypatch.setattr(lls, "proof_identity", proof_identity)
+    argv = ["identity", "--samples", "40", "--seed", str(seed), "--lo", str(lo), "--hi", str(hi)]
+    assert cli.run(argv) == (0, "40/40 identity holds\n")
+    rng = random.Random(seed)
+    assert drawn == [tuple(rng.randint(lo, hi) for _ in range(6)) for _ in range(40)]
+
+
 def test_identity_sample_limit(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("the limit is checked before any sample is drawn")
@@ -520,6 +538,52 @@ def test_plucker_part_limit(capsys, monkeypatch):
     ):
         assert cli.main(["plucker", *argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+COUNT_WORK_SWEEP = ["sweep", "--what", "count", "--r", "1", "--d", "4", "--mu", "2,1^(d-r-1)", "--format", "csv"]
+
+
+def test_count_work_limit(capsys, monkeypatch):
+    # each cell counts three parts, 27 units of work
+    monkeypatch.setattr(cli, "MAX_COUNT_WORK", 54)
+    code, out = run([*COUNT_WORK_SWEEP, "--g", "0:1"], capsys)
+    assert (code, len(out.splitlines())) == (0, 3)  # a header and 2 rows, at the limit
+    real, calls = dejonq.dj_count, 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls > 4:
+            raise AssertionError("the work is bounded before the cell past it is counted")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dejonq, "dj_count", counted)
+    assert cli.main([*COUNT_WORK_SWEEP, "--g", "0:5"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: the counts of a request take at most 54 in the sum of e^3 over their partitions,"
+        " passed at g=2, r=1, d=4\n"
+    ))
+    assert calls == 4  # two cells, both routes each
+    # a cell that the count rejects before counting costs nothing
+    monkeypatch.setattr(dejonq, "dj_count", real)
+    for cells, status in (  # three parts each
+        (["--g", "0:5", "--r", "1", "--d", "4", "--mu", "2,2,1"], "|mu| = d violated: |mu|=5, d=4"),
+        (["--g", "0:5", "--r", "2", "--d", "4", "--mu", "2,1,1"], "len(mu) = d - r violated: len(mu)=3, d-r=2"),
+        (["--g=-6:-1", "--r", "1", "--d", "4", "--mu", "2,1,1"], "coefficient_count requires g >= 0, got g="),
+    ):
+        code, out = run(["sweep", "--what", "count", *cells], capsys)
+        assert (code, len(out.splitlines())) == (0, 6)
+        assert all(f" status=skipped: {status}" in line for line in out.splitlines())
+
+
+def test_count_work_limit_admits_the_large_count_sweep(monkeypatch):
+    # ROADMAP's count sweep, with each count stubbed to keep the test fast
+    monkeypatch.setattr(dejonq, "dj_count", lambda g, r, d, mu, path="coefficient": CountResult(0, path, 0))
+    argv = ["sweep", "--g", "0:30", "--r", "1:6", "--d", "1:40", "--mu", "2^r,1^(d-2*r)"]
+    records, code = cli._cmd_cells(cli.build_parser().parse_args(argv))
+    assert (code, len(records)) == (0, 31 * 6 * 40)
+    work = sum((record[3].count(",") + 1) ** 3 for record in records if record[-2] == "ok")  # e from mu
+    assert work == 88_219_800 <= cli.MAX_COUNT_WORK
 
 
 def test_negative_rho_single_command_exits_2(capsys):
@@ -690,7 +754,7 @@ def test_huge_sweep_exits_2_before_any_cell(capsys, monkeypatch):
 def test_sweep_cell_limit_admits_the_160400_cell_grid(monkeypatch):
     # a 160,400-cell grid is under the cap; each cell is stubbed to keep the test fast
     evaluated = 0
-    record = cli._record({"g": 0, "r": 1, "d": 1, "mu": "1", "f": 0}, 0, ["dimension"], None, "ok", "possible")
+    record = (0, 1, 1, "1", 0, 0, ("dimension",), None, "ok", "possible")
 
     def cell(*args):
         nonlocal evaluated
@@ -727,7 +791,7 @@ def test_sweep_partition_text_limit_admits_the_cap_sweep():
     argv = ["sweep", "--what", "dim", "--g", "0", "--r", "1:20", "--d", "1:20", "--mu", "2^r,1^(d-2*r)",
             "--f", "span=r-1"]
     records, _ = cli._cmd_cells(cli.build_parser().parse_args(argv))
-    text = 500 * sum(len(record["inputs"]["mu"]) for record in records)
+    text = 500 * sum(len(record[3]) for record in records)  # the mu field
     assert text == 2_900_000 <= cli.MAX_MU_TEXT
 
 
@@ -767,7 +831,7 @@ def test_csv_and_json_records_match(capsys):
         assert cells["verdict"] == (record["verdict"] or "")
 
 
-# render builds each format's layout from the first record's input keys.
+# render builds each format's layout from cli.KEYS.
 @pytest.mark.parametrize("argv, keys", [
     (SWEEP, ("g", "r", "d", "mu")),  # 24 ok and 6 skipped rows
     (["sweep", "--what", "dim", "--g", "0:6", "--r", "1:2", "--d", "4", "--mu", "2^(r-2),1^2", "--f", "span=r-1"],
@@ -794,48 +858,94 @@ json_leaves = st.one_of(
 )
 json_paths = st.text(alphabet='"\\\n%éab_')
 
-# The input keys of each command's records; every record of one command has
-# the same keys (see test_records_of_one_command_share_their_input_keys).
+# The input keys of each command's records (see
+# test_records_of_one_command_share_their_input_keys); a sweep's are those of
+# its --what.
+INPUT_KEYS = {
+    "count": ("g", "r", "d", "mu"),
+    "dim": ("g", "r", "d", "mu", "f"),
+    "empty": ("g", "r", "d", "mu", "f"),
+    "plucker": ("g", "r", "d"),
+    "identity": ("samples", "seed", "lo", "hi"),
+}
 COMMAND_KEYS = [
-    (("g", "r", "d", "mu"), "count"),
-    (("g", "r", "d", "mu"), "sweep"),
-    (("g", "r", "d", "mu", "f"), "dim"),
-    (("g", "r", "d", "mu", "f"), "empty"),
-    (("g", "r", "d", "mu", "f"), "sweep"),
-    (("g", "r", "d"), "plucker"),
-    (("samples", "seed", "lo", "hi"), "identity"),
+    (INPUT_KEYS[what], command, what) for command, what in (
+        ("count", "count"), ("dim", "dim"), ("empty", "empty"), ("plucker", "plucker"), ("identity", "identity"),
+        ("sweep", "count"), ("sweep", "dim"), ("sweep", "empty"),
+    )
 ]
 
 
-# Inputs with the command's keys in its order; fixed_dictionaries may draw
-# them in another.
-def inputs_of(keys, leaves):
-    return st.tuples(*[leaves] * len(keys)).map(lambda values: dict(zip(keys, values)))
+def test_key_table():
+    assert cli.KEYS == INPUT_KEYS
 
 
-# Records with these input keys, these leaves and these path and status texts.
+# Requests whose records are all ok, skipped, exit-3 or integrality rows,
+# with the patch that makes the last two.
+SKIPPING_COUNT_SWEEP = ["sweep", "--what", "count", "--g", "0", "--r", "1:3", "--d", "4", "--mu", "2^(r-2),,1"]
+SKIPPING_DIM_SWEEP = ["--g", "0:6", "--r", "2", "--d", "4", "--mu", "2,2", "--f", "2"]
+
+
+@pytest.mark.parametrize("argv, patch, statuses", [
+    (COUNT_ARGV, None, {"ok"}),
+    (SWEEP, None, {"ok", "skipped"}),
+    (SKIPPING_COUNT_SWEEP, None, {"skipped"}),
+    (COUNT_ARGV, _skew_bracket, {"cross-check failed"}),
+    (SWEEP, _skew_bracket, {"cross-check failed", "skipped"}),
+    (COUNT_ARGV, _break_dj_count, {"integrality violation"}),
+    (["dim", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2", "--f", "2"], None, {"ok"}),
+    (["empty", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2", "--f", "2"], None, {"ok"}),
+    (["sweep", "--what", "dim", *SKIPPING_DIM_SWEEP], None, {"ok", "skipped"}),
+    (["sweep", "--what", "empty", *SKIPPING_DIM_SWEEP], None, {"ok", "skipped"}),
+    (["sweep", "--what", "dim", "--g", "0", "--r", "1", "--d", "4", "--mu", "x", "--f", "y"], None, {"skipped"}),
+    (PLUCKER_ARGV, None, {"ok"}),
+    (PLUCKER_ARGV, _skew_plucker_total, {"cross-check failed"}),
+    (PLUCKER_ARGV, _break_dj_count, {"integrality violation"}),
+    (IDENTITY_ARGV, None, {"ok"}),
+    (IDENTITY_ARGV, _break_identity_at_even_g, {"cross-check failed"}),
+])
+def test_every_record_is_its_input_values_and_five_fields(monkeypatch, argv, patch, statuses):
+    if patch is not None:
+        patch(monkeypatch)
+    args = cli.build_parser().parse_args(argv)
+    records, _ = cli.COMMANDS[args.command](args)
+    assert {record[-2].split(":")[0] for record in records} == statuses
+    keys = INPUT_KEYS[args.what]  # a sweep's --what, else the command
+    assert {(type(record), len(record)) for record in records} == {(tuple, len(keys) + 5)}
+    assert {type(record[len(keys) + 1]) for record in records} == {tuple}  # paths
+
+
+# Records with these input keys and these leaves, path and status texts.
 def records_of(keys, leaves, text, status):
-    return st.builds(
-        cli._record, inputs_of(keys, leaves), leaves, st.lists(text, max_size=3), leaves, status, leaves,
-    )
+    return st.tuples(*[leaves] * len(keys), leaves, st.lists(text, max_size=3).map(tuple), leaves, status, leaves)
+
+
+# The record as the nested object that its JSON output spells out.
+def as_object(keys, record):
+    result, paths, delta, status, verdict = record[len(keys):]
+    return {
+        "inputs": dict(zip(keys, record)), "result": result, "paths": list(paths),
+        "cross_check_delta": delta, "status": status, "verdict": verdict,
+    }
 
 
 # A sweep writes a list of records, any other command its one record.
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(COMMAND_KEYS).flatmap(lambda kc: st.tuples(st.just(kc[1]), st.lists(
-    records_of(kc[0], json_leaves, json_paths, json_leaves), min_size=1, max_size=4 if kc[1] == "sweep" else 1))))
+@given(st.sampled_from(COMMAND_KEYS).flatmap(lambda kcw: st.tuples(st.just(kcw), st.lists(
+    records_of(kcw[0], json_leaves, json_paths, json_leaves), min_size=1, max_size=4 if kcw[1] == "sweep" else 1))))
 def test_json_output_is_json_dumps(command_records):
-    command, records = command_records
-    expected = json.dumps(records if command == "sweep" else records[0], indent=2) + "\n"
-    assert cli.render(records, "json", command) == expected
+    (keys, command, what), records = command_records
+    objects = [as_object(keys, record) for record in records]
+    expected = json.dumps(objects if command == "sweep" else objects[0], indent=2) + "\n"
+    assert cli.render(records, "json", command, what) == expected
 
 
 def test_json_output_keeps_the_int_conversion_limit():
-    record = cli._record({"g": 2, "r": 1, "d": 3}, 10**4999, [], None, "ok", None)  # 5,000 digits
+    record = (2, 1, 3, 10**4999, (), None, "ok", None)  # 5,000 digits
     with pytest.raises(ValueError) as expected:
-        json.dumps(record, indent=2)
+        json.dumps(as_object(INPUT_KEYS["plucker"], record), indent=2)
     with pytest.raises(ValueError) as got:
-        cli.render([record], "json", "plucker")
+        cli.render([record], "json", "plucker", "plucker")
     assert str(got.value) == str(expected.value)
 
 
@@ -891,10 +1001,11 @@ row_leaves = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(COMMAND_KEYS).flatmap(lambda kc: st.tuples(st.just(kc[1]), st.lists(
-    records_of(kc[0], row_leaves, row_text, row_text), min_size=1, max_size=4))))
+@given(st.sampled_from(COMMAND_KEYS).flatmap(lambda kcw: st.tuples(st.just(kcw), st.lists(
+    records_of(kcw[0], row_leaves, row_text, row_text), min_size=1, max_size=4))))
 def test_plain_and_csv_output_match_the_reference_writers(command_records):
-    command, records = command_records
-    assert cli.render(records, "csv", command) == csv_oracle(records)
-    if command != "identity":
-        assert cli.render(records, "plain", command) == plain_oracle(records)
+    (keys, command, what), records = command_records
+    objects = [as_object(keys, record) for record in records]
+    assert cli.render(records, "csv", command, what) == csv_oracle(objects)
+    if what != "identity":
+        assert cli.render(records, "plain", command, what) == plain_oracle(objects)
