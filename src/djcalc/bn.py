@@ -32,6 +32,7 @@ __all__ = [
     "rho_raw",
     "rho_adjusted",
     "expected_dim",
+    "expected_dim_or_error",
     "expected_dim_sigma",
     "expected_dim_fixed_series",
     "is_empty_for_general_curve",
@@ -44,19 +45,22 @@ __all__ = [
 ]
 
 
-# The checks of SeriesParams and DJProblem, shared with the expected_dim kernel.
-def _check_series(g: int, r: int, d: int) -> None:
+# The checks of SeriesParams and DJProblem, shared with the expected_dim
+# kernel: each returns the error of its first failed check, unraised, or None.
+def _series_error(g: int, r: int, d: int) -> ValueError | None:
     if g < 0:
-        raise ValueError(f"genus must be >= 0, got g={g}")
+        return ValueError(f"genus must be >= 0, got g={g}")
     if r < 1:
-        raise ValueError(f"series dimension must be >= 1, got r={r}")
+        return ValueError(f"series dimension must be >= 1, got r={r}")
     if d < 1:
-        raise ValueError(f"degree must be >= 1, got d={d}")
+        return ValueError(f"degree must be >= 1, got d={d}")
+    return None
 
 
-def _check_f(r: int, s: int, f: int) -> None:
+def _f_error(r: int, s: int, f: int) -> ValueError | None:
     if f < 0 or f < s - r or f > s:
-        raise ValueError(f"f={f} outside the valid range [{max(s - r, 0)}, {s}] for |mu|={s}, r={r}")
+        return ValueError(f"f={f} outside the valid range [{max(s - r, 0)}, {s}] for |mu|={s}, r={r}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,9 @@ class SeriesParams:
     d: int
 
     def __post_init__(self) -> None:
-        _check_series(self.g, self.r, self.d)
+        error = _series_error(self.g, self.r, self.d)
+        if error is not None:
+            raise error
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,9 @@ class DJProblem:
     f: int
 
     def __post_init__(self) -> None:
-        _check_f(self.params.r, self.mu.total, self.f)
+        error = _f_error(self.params.r, self.mu.total, self.f)
+        if error is not None:
+            raise error
 
     @property
     def residual_rank(self) -> int:
@@ -111,19 +119,29 @@ def rho_adjusted(params: SeriesParams, alpha: RamificationSequence) -> int:
     return rho(params) - sum(alpha.entries)
 
 
-def expected_dim(g: int, r: int, d: int, e: int, s: int, f: int) -> int:
-    """rho + e - f(r+1-s+f) for a partition of length e and sum s: the
-    integer kernel of expected_dim_sigma, with the checks of SeriesParams,
-    then of DJProblem, then rho >= 0, in that order.
+def expected_dim_or_error(g: int, r: int, d: int, e: int, s: int, f: int) -> int | ValueError:
+    """rho + e - f(r+1-s+f) for a partition of length e and sum s, or the
+    error of the first failed check, unraised: the checks of SeriesParams,
+    then of DJProblem, then rho >= 0 (a HypothesisViolation), in that order.
+    The integer kernel of expected_dim and of every dim/empty cell.
     """
-    _check_series(g, r, d)
-    _check_f(r, s, f)
+    error = _series_error(g, r, d) or _f_error(r, s, f)
+    if error is not None:
+        return error
     rho_value = rho_raw(g, r, d)
     if rho_value < 0:
-        raise HypothesisViolation(
+        return HypothesisViolation(
             f"rho({g},{r},{d}) = {rho_value} < 0; the dimension statement assumes rho >= 0"
         )
     return rho_value + e - f * (r + 1 - s + f)
+
+
+def expected_dim(g: int, r: int, d: int, e: int, s: int, f: int) -> int:
+    """expected_dim_or_error, raising its error."""
+    dim = expected_dim_or_error(g, r, d, e, s, f)
+    if isinstance(dim, ValueError):
+        raise dim
+    return dim
 
 
 def expected_dim_sigma(p: DJProblem) -> int:
@@ -156,7 +174,9 @@ def span_dimension(mu: Partition, f: int) -> int:
 
 
 def _check_rho(g: int, r: int, d: int) -> int:
-    _check_series(g, r, d)
+    error = _series_error(g, r, d)
+    if error is not None:
+        raise error
     value = rho_raw(g, r, d)
     if value < 0:
         raise HypothesisViolation(f"rho({g},{r},{d}) = {value} < 0")

@@ -87,7 +87,7 @@ MAX_COUNT_PARTS = 300
 # and MAX_CELLS bounds the sweep.
 MAX_COUNT_WORK = 100_000_000
 
-# The most samples `identity` draws: about a second of proof_identity calls.
+# The most samples `identity` draws: well under a second of proof_identity calls.
 MAX_SAMPLES = 100_000
 
 
@@ -196,33 +196,28 @@ def compile_int_expr(
     return value_of, frozenset(reads)
 
 
-def _raiser(message: str):
-    def fail(*args):
-        raise ValueError(message)
-    return fail
-
-
 def compile_partition_spec(
     spec: str, names: Container[str], grid: Mapping[str, Sized] | None = None
-) -> Callable[[dict[str, int]], tuple[Partition, str]]:
+) -> Callable[[dict[str, int]], tuple[Partition, str] | ValueError]:
     """Compile a partition spec, '2,2,1' or power notation '2^3,1^2', into a
-    function of env that returns the partition and its record text.  Bases
-    and exponents may be expressions in the variables in `names` (e.g.
-    '2^r,1^(d-2*r)').  Zero exponents drop the part; negative exponents,
-    non-positive parts and specs of more than MAX_PARTS parts are rejected.
-    A compile error in an item is raised only when evaluation reaches that
-    item, so the earlier items' checks come first, item by item.
+    function of env that returns the partition and its record text, or the
+    ValueError of the first failed check, unraised.  Bases and exponents may
+    be expressions in the variables in `names` (e.g. '2^r,1^(d-2*r)').  Zero
+    exponents drop the part; negative exponents, non-positive parts and
+    specs of more than MAX_PARTS parts are rejected.  A compile error in an
+    item is returned only when evaluation reaches that item, so the earlier
+    items' checks come first, item by item.
 
     `grid` maps each name to the values it takes over one request.  When a
     name the spec does not read takes more than one, the values of the names
     it does read repeat from cell to cell, and the function memoizes its
-    value, or its ValueError's message, on them for as long as it lives,
-    keeping partitions of at most MAX_PARTS parts in all.  Otherwise, and
-    without `grid`, each call builds afresh, so no partition outlives its
-    cell.
+    value, or its error, on them for as long as it lives, keeping partitions
+    of at most MAX_PARTS parts in all.  Otherwise, and without `grid`, each
+    call builds afresh, so no partition outlives its cell.
     """
     items = []
     reads: set[str] = set()
+    compile_error = None  # of the first item that fails to compile; later items are never reached
     for item in spec.split(","):
         item = item.strip()
         try:
@@ -238,60 +233,60 @@ def compile_partition_spec(
                 exp = None
                 reads |= base_reads
         except ValueError as exc:
-            base, exp = _raiser(str(exc)), None
+            compile_error = exc.with_traceback(None)
+            break
         items.append((item, base, exp))
 
-    def partition(env: dict[str, int]) -> tuple[Partition, str]:
+    def partition(env: dict[str, int]) -> tuple[Partition, str] | ValueError:
         parts: list[int] = []
         for item, base_of, exp_of in items:
             base = base_of(env)
             exp = 1 if exp_of is None else exp_of(env)
             if exp < 0:
-                raise ValueError(f"partition item {item!r} has negative multiplicity {exp}")
+                return ValueError(f"partition item {item!r} has negative multiplicity {exp}")
             if exp > 0 and base < 1:
-                raise ValueError(f"partition item {item!r} has non-positive part {base}")
+                return ValueError(f"partition item {item!r} has non-positive part {base}")
             if len(parts) + exp > MAX_PARTS:
-                raise ValueError(f"partition item {item!r} takes the partition past {MAX_PARTS} parts")
+                return ValueError(f"partition item {item!r} takes the partition past {MAX_PARTS} parts")
             parts.extend([base] * exp)
+        if compile_error is not None:
+            return compile_error
         mu = Partition(parts)
         return mu, _mu_text(mu)
 
     if grid is None or all(len(values) <= 1 for name, values in grid.items() if name not in reads):
         return partition
     key_of = itemgetter(*sorted(reads)) if reads else (lambda env: None)
-    memo: dict[object, tuple[Partition, str] | str] = {}
+    memo: dict[object, tuple[Partition, str] | ValueError] = {}
     room = MAX_PARTS  # the memo keeps at most one largest partition's worth of parts
 
-    def memoized(env: dict[str, int]) -> tuple[Partition, str]:
+    def memoized(env: dict[str, int]) -> tuple[Partition, str] | ValueError:
         nonlocal room
         key = key_of(env)
         entry = memo.get(key)
         if entry is None:
-            try:
-                entry = partition(env)
-            except ValueError as exc:
-                memo[key] = str(exc)
-                raise
-            if entry[0].length <= room:
-                room -= entry[0].length
+            entry = partition(env)
+            size = 0 if isinstance(entry, ValueError) else entry[0].length
+            if size <= room:
+                room -= size
                 memo[key] = entry
-        elif isinstance(entry, str):
-            # a fresh exception: re-raising a stored one would lengthen its traceback
-            raise ValueError(entry)
         return entry
     return memoized
 
 
-def compile_f_spec(spec: str, names: Iterable[str]) -> Callable[[dict[str, int], Partition], int]:
+def compile_f_spec(
+    spec: str, names: Iterable[str]
+) -> Callable[[dict[str, int], Partition], int | ValueError]:
     """Compile an f spec into a function of (env, mu): an integer expression
     over `names` (e.g. g, r, d), e (partition length) and s (partition sum),
-    or 'span=<expr>' for f = |mu| - span - 1.  A compile error is raised
-    when the function is called."""
+    or 'span=<expr>' for f = |mu| - span - 1.  A compile error is returned,
+    unraised, when the function is called."""
     span = spec.startswith("span=")
     try:
         value_of, reads = compile_int_expr(spec[len("span="):] if span else spec, {*names, "e", "s"})
     except ValueError as exc:
-        return _raiser(str(exc))
+        compile_error = exc.with_traceback(None)
+        return lambda env, mu: compile_error
     reads_mu = not reads.isdisjoint(("e", "s"))
 
     def f_value(env: dict[str, int], mu: Partition) -> int:
@@ -363,22 +358,20 @@ def _cross_check(
 
 
 def _count_record(g: int, r: int, d: int, mu: Partition, mu_text: str):
-    try:  # the dimension theorem at f = d - r, when its hypotheses hold
-        verdict = _verdict(bn.expected_dim(g, r, d, mu.length, mu.total, d - r))
-    except ValueError:
-        verdict = None
+    # the dimension theorem at f = d - r gives the verdict, when its hypotheses hold
+    dim = bn.expected_dim_or_error(g, r, d, mu.length, mu.total, d - r)
     return _cross_check(
         (g, r, d, mu_text), ("bracket", "coefficient"),
         lambda: (dejonq.dj_count(g, r, d, mu, path="coefficient").value,
                  dejonq.dj_count(g, r, d, mu, path="bracket").value),
-        "bracket and coefficient paths disagree", verdict,
+        "bracket and coefficient paths disagree", None if isinstance(dim, ValueError) else _verdict(dim),
     )
 
 
 def evaluate_cell(
     what: str, g: int, r: int, d: int,
-    mu_spec: str, mu_of: Callable[[dict[str, int]], tuple[Partition, str]],
-    f_spec: str | None, f_of: Callable[[dict[str, int], Partition], int] | None,
+    mu_spec: str, mu_of: Callable[[dict[str, int]], tuple[Partition, str] | ValueError],
+    f_spec: str | None, f_of: Callable[[dict[str, int], Partition], int | ValueError] | None,
     charge: Callable[[int, int, int, int], None],
 ):
     """One (g, r, d) cell of a count, dim or empty request, from the compiled
@@ -388,25 +381,39 @@ def evaluate_cell(
 
     A cell that fails validation gives a `skipped: <message>` record, exit
     code 0 and the ValueError.  The record's inputs show each spec's text
-    until it evaluates, then its value.
+    until it evaluates, then its value.  A dim or empty cell raises nothing:
+    the specs and the kernel return their errors.
     """
     env = {"g": g, "r": r, "d": d}
     mu_text, f = mu_spec, f_spec
-    try:
-        mu, mu_text = mu_of(env)
-        if what == "count":
+    entry = mu_of(env)
+    if isinstance(entry, ValueError):
+        error = entry
+    elif what == "count":
+        mu, mu_text = entry
+        try:  # dj_count checks its own contract too
             _check_count_parts(mu.length)
             if g >= 0 and mu.total == d and mu.length == d - r:  # else the count rejects its inputs at once
                 charge(g, r, d, mu.length)
             record, code = _count_record(g, r, d, mu, mu_text)
             return record, code, None
-        f = f_of(env, mu)
-        dim = bn.expected_dim(g, r, d, mu.length, mu.total, f)
-    except ValueError as exc:
-        if what == "count":
-            return (g, r, d, mu_text, None, (), None, f"skipped: {exc}", None), 0, exc
-        return (g, r, d, mu_text, f, None, (), None, f"skipped: {exc}", None), 0, exc
-    return (g, r, d, mu_text, f, dim if what == "dim" else dim < 0, ("dimension",), None, "ok", _verdict(dim)), 0, None
+        except ValueError as exc:
+            error = exc
+    else:
+        mu, mu_text = entry
+        value = f_of(env, mu)
+        if isinstance(value, ValueError):
+            error = value
+        else:
+            f = value
+            dim = bn.expected_dim_or_error(g, r, d, mu.length, mu.total, f)
+            if not isinstance(dim, ValueError):
+                return (g, r, d, mu_text, f, dim if what == "dim" else dim < 0, ("dimension",), None, "ok",
+                        _verdict(dim)), 0, None
+            error = dim
+    if what == "count":
+        return (g, r, d, mu_text, None, (), None, f"skipped: {error}", None), 0, error
+    return (g, r, d, mu_text, f, None, (), None, f"skipped: {error}", None), 0, error
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +483,21 @@ def _cmd_identity(args):
         raise ValueError(f"--samples must be <= {MAX_SAMPLES}, got {args.samples}")
     if args.lo > args.hi:
         raise ValueError(f"--lo must be <= --hi, got --lo {args.lo} and --hi {args.hi}")
-    # lo + randrange(width) draws what randint(lo, hi) draws: both are lo + _randbelow(width)
     lo, width = args.lo, args.hi - args.lo + 1
-    below, proof_identity = random.Random(args.seed).randrange, lls.proof_identity
+    getrandbits, bits = random.Random(args.seed).getrandbits, width.bit_length()
+
+    def draw() -> int:
+        # what randint(lo, hi) draws: lo + _randbelow(width), which CPython's
+        # Random computes as getrandbits(bits) until the value is below width
+        value = getrandbits(bits)
+        while value >= width:
+            value = getrandbits(bits)
+        return lo + value
+
+    proof_identity = lls.proof_identity
     failures = 0
     for _ in range(args.samples):
-        lhs, rhs = proof_identity(  # g, m, r, d, s, f
-            lo + below(width), lo + below(width), lo + below(width),
-            lo + below(width), lo + below(width), lo + below(width),
-        )
+        lhs, rhs = proof_identity(draw(), draw(), draw(), draw(), draw(), draw())  # g, m, r, d, s, f
         if lhs != rhs:
             failures += 1
     record, code = _cross_check(
@@ -521,12 +534,13 @@ def _cell(value) -> str:
     return str(value)
 
 
-# How json.dumps writes each leaf type of a record.
+# How json.dumps writes each leaf type of a record, all through C callables;
+# the lookup is by type, so 1 and True never meet.
 _JSON_LEAF = {
     int: int.__repr__,
     str: encode_basestring_ascii,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
 }
 
 
@@ -550,6 +564,18 @@ def _json_list(strings, pad: str) -> str:
     return f"[{newline}{items}\n{pad}  ]"
 
 
+class _JsonLists(dict):
+    """_json_list's text of each distinct tuple of strings, written once."""
+
+    def __init__(self, pad: str):
+        super().__init__()
+        self.pad = pad
+
+    def __missing__(self, strings: tuple[str, ...]) -> str:
+        text = self[strings] = _json_list(strings, self.pad)
+        return text
+
+
 def render(records, fmt: str, command: str, what: str) -> str:
     """The records of `command` in `fmt`, with the input keys of `what` (a
     sweep's --what, else the command), so each format's layout is built once
@@ -571,7 +597,7 @@ def render(records, fmt: str, command: str, what: str) -> str:
         many = command == "sweep"
         pad = "  " if many else ""
         template = _json_record_template(keys, pad)
-        leaf = {**_JSON_LEAF, tuple: lambda paths: _json_list(paths, pad)}
+        leaf = {**_JSON_LEAF, tuple: _JsonLists(pad).__getitem__}
         body = ",\n".join([template % tuple([leaf[type(value)](value) for value in record]) for record in records])
         return f"[\n{body}\n]\n" if many else body + "\n"
     if fmt == "csv":

@@ -12,6 +12,7 @@ from djcalc.bn import (
     corollary_total_ramification,
     expected_dim,
     expected_dim_fixed_series,
+    expected_dim_or_error,
     expected_dim_sigma,
     is_empty_for_general_curve,
     rho,
@@ -120,6 +121,15 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def returned(fn, *args):
+    """fn's value, or the type and message of the ValueError it returned unraised."""
+    value = fn(*args)
+    if isinstance(value, ValueError):
+        assert value.__traceback__ is None
+        return type(value), str(value)
+    return value
+
+
 @given(
     st.integers(-3, 12), st.integers(-3, 8), st.integers(-3, 20),
     st.lists(st.integers(1, 5), max_size=6), st.integers(-4, 24),
@@ -132,7 +142,9 @@ def test_expected_dim_kernel_matches_the_dataclass_path(g, r, d, parts, f):
     def by_dataclasses():
         return expected_dim_sigma(DJProblem(SeriesParams(g, r, d), mu, f))
 
-    assert outcome(expected_dim, g, r, d, mu.length, mu.total, f) == outcome(by_dataclasses)
+    expected = outcome(by_dataclasses)
+    assert outcome(expected_dim, g, r, d, mu.length, mu.total, f) == expected
+    assert returned(expected_dim_or_error, g, r, d, mu.length, mu.total, f) == expected
 
 
 def test_expected_dim_checks_in_order():
@@ -145,6 +157,8 @@ def test_expected_dim_checks_in_order():
         HypothesisViolation, "rho(8,3,8) = -4 < 0; the dimension statement assumes rho >= 0"
     )
     assert expected_dim(3, 2, 4, 2, 4, 2) == 0
+    for args in ((-1, 0, 0, 1, 2, 9), (8, 3, 8, 1, 2, 9), (8, 3, 8, 1, 2, 2), (3, 2, 4, 2, 4, 2)):
+        assert returned(expected_dim_or_error, *args) == outcome(expected_dim, *args)
 
 
 @given(valid_problems())

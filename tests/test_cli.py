@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import os
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -30,13 +32,20 @@ def evaluate(text, env):
     return value_of(env)
 
 
+# A compiled spec returns its error; these raise it, as a single command does.
 def partition(spec, env):
-    mu, _ = cli.compile_partition_spec(spec, env)(env)
+    entry = cli.compile_partition_spec(spec, env)(env)
+    if isinstance(entry, ValueError):
+        raise entry
+    mu, _ = entry
     return mu
 
 
 def f_value(spec, env, mu):
-    return cli.compile_f_spec(spec, env)(env, mu)
+    value = cli.compile_f_spec(spec, env)(env, mu)
+    if isinstance(value, ValueError):
+        raise value
+    return value
 
 
 def test_eval_int_expr():
@@ -116,10 +125,12 @@ def test_partition_spec_first_error_wins():
     # the empty item is a compile error, but the per-env check of the item
     # before it comes first, as when each item was read in turn
     compiled = cli.compile_partition_spec("2^(r-9),,1", ("g", "r", "d"))
-    with pytest.raises(ValueError, match="negative multiplicity -7"):
-        compiled({"g": 0, "r": 2, "d": 0})
-    with pytest.raises(ValueError, match="empty item"):
-        compiled({"g": 0, "r": 9, "d": 0})
+    assert outcome(compiled, {"g": 0, "r": 2, "d": 0}) == (
+        "error", ValueError, "partition item '2^(r-9)' has negative multiplicity -7"
+    )
+    assert outcome(compiled, {"g": 0, "r": 9, "d": 0}) == (
+        "error", ValueError, "empty item in partition spec '2^(r-9),,1'"
+    )
 
 
 def test_compile_int_expr_reports_the_names_it_reads():
@@ -175,14 +186,21 @@ def test_partition_spec_memo_keeps_at_most_max_parts(monkeypatch):
     assert kept == [True, True, False, False]  # 4 + 6 parts fill the memo
 
 
-def test_memoized_error_is_raised_afresh():
+def test_memo_keeps_one_error_per_key_and_a_single_command_raises_afresh():
     by_g = cli.compile_partition_spec("2^(g-1)", NAMES, GRID)
-    raised = []
-    for r in (1, 2, 3):  # one key, g = 0
-        with pytest.raises(ValueError, match=r"partition item '2\^\(g-1\)' has negative multiplicity -1") as info:
-            by_g({"g": 0, "r": r, "d": 4})
-        raised.append(info.value)
-    assert len({id(exc) for exc in raised}) == 3
+    errors = [by_g({"g": 0, "r": r, "d": 4}) for r in (1, 2, 3)]  # one key, g = 0
+    assert outcome(lambda: errors[0]) == ("error", ValueError, "partition item '2^(g-1)' has negative multiplicity -1")
+    assert errors[0] is errors[1] is errors[2]
+    assert errors[0].__traceback__ is None  # returned, never raised
+    assert by_g({"g": -1, "r": 1, "d": 4}) is not errors[0]  # another key, another error
+    for mu in ("2^(g-1)", "x,2"):  # an evaluation error and a compile error
+        raised = []
+        for _ in range(3):
+            with pytest.raises(ValueError) as info:
+                cli.run(["dim", "--g", "0", "--r", "1", "--d", "4", "--mu", mu, "--f", "0"])
+            raised.append(info.value)
+        assert len({id(exc) for exc in raised}) == 3
+        assert len({str(exc) for exc in raised}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +328,15 @@ def oracle_parse_f_spec(spec, env, mu):
 
 
 def outcome(fn, *args):
+    """("value", value) or ("error", type, message); an error that fn returns
+    compares equal to the same error raised."""
     try:
-        return "value", fn(*args)
+        value = fn(*args)
     except ValueError as exc:
-        return "error", str(exc)
+        return "error", type(exc), str(exc)
+    if isinstance(value, ValueError):
+        return "error", type(value), str(value)
+    return "value", value
 
 
 # Numbers of at most two digits: a product of a few of them is far below
@@ -793,6 +816,57 @@ def test_sweep_partition_text_limit_admits_the_cap_sweep():
     records, _ = cli._cmd_cells(cli.build_parser().parse_args(argv))
     text = 500 * sum(len(record[3]) for record in records)  # the mu field
     assert text == 2_900_000 <= cli.MAX_MU_TEXT
+
+
+# Each kind of skipped dim cell, as (the message it gives, the lowest g, the
+# other arguments of a sweep whose every cell it skips).
+SKIP_KINDS = [
+    ("unknown variable 'x'", 10, ["--r", "2", "--d", "4", "--mu", "x", "--f", "2"]),
+    ("has negative multiplicity -1", 10, ["--r", "2", "--d", "4", "--mu", "2^(r-3)", "--f", "2"]),
+    ("unknown variable 'q'", 10, ["--r", "2", "--d", "4", "--mu", "2,2", "--f", "q"]),
+    ("genus must be >= 0", -59, ["--r", "2", "--d", "4", "--mu", "2,2", "--f", "2"]),
+    ("series dimension must be >= 1", 10, ["--r", "0", "--d", "4", "--mu", "2,2", "--f", "2"]),
+    ("degree must be >= 1", 10, ["--r", "2", "--d", "0", "--mu", "2,2", "--f", "2"]),
+    ("outside the valid range", 10, ["--r", "2", "--d", "4", "--mu", "2,2", "--f", "9"]),
+    ("< 0; the dimension statement assumes rho >= 0", 10, ["--r", "2", "--d", "4", "--mu", "2,2", "--f", "2"]),
+]
+
+
+def exception_events(argv):
+    """cli.run(argv), and the number of exception events in djcalc's frames,
+    not counting the GeneratorExit that closes a generator left unfinished."""
+    package = os.path.dirname(cli.__file__)
+    events = 0
+
+    def trace(frame, event, arg):
+        nonlocal events
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        if event == "exception" and arg[0] is not GeneratorExit:
+            events += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = cli.run(argv)
+    finally:
+        sys.settrace(previous)
+    return events, result
+
+
+@pytest.mark.parametrize("message, g, rest", SKIP_KINDS)
+def test_skipped_dim_cells_raise_nothing(message, g, rest):
+    # a compile error may raise once per request, never once per cell
+    counted = []
+    for grid in (f"{g}", f"{g}:{g + 49}"):
+        events, (code, out) = exception_events(["sweep", "--what", "dim", f"--g={grid}", *rest, "--format", "csv"])
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0
+        assert len(rows) == (1 if ":" not in grid else 50)
+        assert all(row["status"].startswith("skipped: ") and message in row["status"] for row in rows)
+        counted.append(events)
+    assert counted[1] == counted[0]
 
 
 def test_sweep_requires_f_for_dim(capsys):
