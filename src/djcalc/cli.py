@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Callable, Container, Iterable, Mapping, Sized
 
 from . import bn, dejonq, lls
-from .errors import ContractViolation, HypothesisViolation, IntegralityError
+from .errors import IntegralityError
 from .exact import Partition
 
 FORMATS = ("json", "csv", "plain")
@@ -76,16 +76,12 @@ MAX_CELLS = 200_000
 # oversized sweep stops before it is rendered.
 MAX_MU_TEXT = 10_000_000
 
-# The most parts a count takes: the bracket route is O(e^3), and at this
-# length it still takes about a second.
-MAX_COUNT_PARTS = 300
-
-# The most work the counts of one request take, as the sum of e^3 over its
-# count cells of e parts each, the bracket route's cost; checked before each
-# cell's count.  A request at the bound runs for about 3 to 10 s when its
-# cells have 14 to 300 parts.  Below that the per-cell cost is not cubic,
-# and MAX_CELLS bounds the sweep.
-MAX_COUNT_WORK = 100_000_000
+# The most work the counts of one request take, as the sum of (e+5)^3 over
+# its counts of e parts each; checked before each count runs.  Both routes
+# of a count took about 40 to 90 ns per unit from 1 to 526 parts on a
+# shared 2-vCPU VM with Python 3.11, so a request at the bound runs for
+# about 11 s at most.  A single count takes at most 526 parts.
+MAX_COUNT_WORK = 150_000_000
 
 # The most samples `identity` draws: well under a second of proof_identity calls.
 MAX_SAMPLES = 100_000
@@ -323,11 +319,6 @@ KEYS = {
 }
 
 
-class _CountWorkLimit(Exception):
-    """A request's counts passed MAX_COUNT_WORK.  Not a ValueError, so that
-    evaluate_cell stops the request instead of skipping the cell."""
-
-
 def _mu_text(mu: Partition) -> str:
     return ",".join(str(a) for a in mu.parts)
 
@@ -336,9 +327,21 @@ def _verdict(dim: int) -> str:
     return "empty" if dim < 0 else "possible"
 
 
-def _check_count_parts(e: int) -> None:
-    if e > MAX_COUNT_PARTS:
-        raise ValueError(f"a count takes at most {MAX_COUNT_PARTS} parts, got {e}")
+def _count_budget() -> Callable[[int, int, int, int], None]:
+    """The charge of one request's counts: `charge(g, r, d, e)` adds (e+5)^3
+    for a count of e parts at cell (g, r, d), and raises ValueError once the
+    request passes MAX_COUNT_WORK."""
+    work = 0
+
+    def charge(g: int, r: int, d: int, e: int) -> None:
+        nonlocal work
+        work += (e + 5) ** 3
+        if work > MAX_COUNT_WORK:
+            raise ValueError(
+                f"the counts of a request take at most {MAX_COUNT_WORK} in the sum of (e+5)^3 over their partitions,"
+                f" passed at g={g}, r={r}, d={d}"
+            )
+    return charge
 
 
 def _cross_check(
@@ -377,7 +380,8 @@ def evaluate_cell(
     """One (g, r, d) cell of a count, dim or empty request, from the compiled
     specs `mu_of` (the partition and its record text) and `f_of`: returns
     (record, exit code, error).  A count cell calls `charge(g, r, d, e)`
-    before it counts a partition of e parts that the count admits.
+    before it counts a partition of e parts that the count admits; the
+    charge's ValueError stops the request.
 
     A cell that fails validation gives a `skipped: <message>` record, exit
     code 0 and the ValueError.  The record's inputs show each spec's text
@@ -391,10 +395,9 @@ def evaluate_cell(
         error = entry
     elif what == "count":
         mu, mu_text = entry
-        try:  # dj_count checks its own contract too
-            _check_count_parts(mu.length)
-            if g >= 0 and mu.total == d and mu.length == d - r:  # else the count rejects its inputs at once
-                charge(g, r, d, mu.length)
+        if g >= 0 and mu.total == d and mu.length == d - r:  # else the count rejects its inputs at once
+            charge(g, r, d, mu.length)
+        try:  # dj_count checks its own contract
             record, code = _count_record(g, r, d, mu, mu_text)
             return record, code, None
         except ValueError as exc:
@@ -435,17 +438,7 @@ def _cmd_cells(args):
     what, names = args.what, ("g", "r", "d")
     mu_of = compile_partition_spec(args.mu, names, dict(zip(names, grid)))
     f_of = None if what == "count" else compile_f_spec(args.f, names)
-    work = 0
-
-    def charge(g: int, r: int, d: int, e: int) -> None:
-        nonlocal work
-        work += e**3
-        if work > MAX_COUNT_WORK:
-            raise _CountWorkLimit(
-                f"the counts of a request take at most {MAX_COUNT_WORK} in the sum of e^3 over their partitions,"
-                f" passed at g={g}, r={r}, d={d}"
-            )
-
+    charge = _count_budget()
     records = []
     code = text = 0
     for g in grid[0]:
@@ -467,8 +460,8 @@ def _cmd_cells(args):
 
 def _cmd_plucker(args):
     g, r, d = args.g, args.r, args.d
-    if r >= 1 and g >= 0:  # otherwise the count's own precondition names the fault
-        _check_count_parts(d - r)  # the count has mu = (r+1, 1^(d-r-1))
+    if r >= 1 and g >= 0 and d >= r + 1:  # otherwise the count's own precondition names the fault
+        _count_budget()(g, r, d, d - r)  # the count has mu = (r+1, 1^(d-r-1))
     record, code = _cross_check(  # the closed form is the result, the count its check
         (g, r, d), ("coefficient", "closed_form"),
         lambda: dejonq.ramification_count_check(g, r, d)[::-1], "count and closed form disagree",
@@ -688,7 +681,7 @@ def run(argv) -> tuple[int, str]:
 def main(argv=None) -> int:
     try:
         code, output = run(argv)
-    except (ContractViolation, HypothesisViolation, ValueError, _CountWorkLimit) as exc:
+    except ValueError as exc:  # ContractViolation and HypothesisViolation among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(output)

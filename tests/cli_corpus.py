@@ -11,9 +11,9 @@ The argv cover every subcommand in every format, every sweep `--what`, valid
 and invalid `--mu`/`--f` specs and ranges, skipped sweep rows, `--help` and
 argparse errors.  Entries that end in argparse (help text, usage errors) are
 marked, because argparse's wording belongs to the Python version that
-recorded them.  Left out on purpose: `plucker` with r < 1 and counts of more
-than 300 parts, whose behaviour differs from the recording commit on
-purpose and which have tests of their own.
+recorded them.  Left out on purpose: `plucker` with r < 1 and counts near
+or past the count budget (`cli.MAX_COUNT_WORK`), whose behaviour differs
+from the recording commit on purpose and which have tests of their own.
 """
 
 from __future__ import annotations

@@ -512,48 +512,69 @@ def test_plucker_without_a_series_exits_2(capsys):
     assert captured.err == "error: ramification_count_check requires r >= 1, got r=0\n"
 
 
+def budget_message(g, r, d, limit=cli.MAX_COUNT_WORK):
+    return (
+        f"error: the counts of a request take at most {limit} in the sum of (e+5)^3 over their partitions,"
+        f" passed at g={g}, r={r}, d={d}\n"
+    )
+
+
+def stub_counts(monkeypatch):
+    """Replace dj_count with a stub that returns 0 and logs the parts of each call."""
+    calls = []
+
+    def stub(g, r, d, mu, path="coefficient"):
+        calls.append(mu.length)
+        return CountResult(0, path, 0)
+    monkeypatch.setattr(dejonq, "dj_count", stub)
+    return calls
+
+
 def test_count_part_limit(capsys, monkeypatch):
-    limit = cli.MAX_COUNT_PARTS
-    message = f"a count takes at most {limit} parts, got {limit + 1}"
-    argv = ["--g", "0", "--r", "1", "--d", str(limit + 2)]
-    assert cli.main(["count", *argv, "--mu", f"2,1^{limit}"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    code, out = run(["sweep", *argv, "--mu", "2,1^(d-2)", "--format", "json"], capsys)
-    assert code == 0
-    [row] = json.loads(out)
-    assert row["status"] == f"skipped: {message}"
-    assert row["inputs"]["mu"] == "2" + ",1" * limit
-    # a partition at the limit is counted; checked at a small limit, since
-    # the bracket route takes about a second at 300 parts
-    monkeypatch.setattr(cli, "MAX_COUNT_PARTS", 3)
-    code, out = run(["sweep", "--g", "0", "--r", "1", "--d", "4:5", "--mu", "2,1^(d-2)", "--format", "json"], capsys)
-    assert code == 0
-    at, above = json.loads(out)
-    assert (at["status"], at["result"]) == ("ok", 6)  # 2g - 2 + 2d tangents of a pencil, at g = 0
-    assert above["status"] == "skipped: a count takes at most 3 parts, got 4"
+    # one count of e parts costs (e+5)^3, so a single count takes at most 526 parts
+    assert 531**3 <= cli.MAX_COUNT_WORK < 532**3
+    calls = stub_counts(monkeypatch)
+    pencil = ["--g", "0", "--r", "1"]
+    assert run(["count", *pencil, "--d", "527", "--mu", "2,1^525"], capsys)[0] == 0
+    assert calls == [526, 526]  # both routes ran
+    calls.clear()
+    for command, d, mu in (  # just past the budget, in a count and a sweep, and far past it
+        ("count", 528, "2,1^526"), ("sweep", 528, "2,1^(d-2)"), ("count", 100001, "2,1^99999"),
+    ):
+        assert cli.main([command, *pencil, "--d", str(d), "--mu", mu]) == 2
+        assert capsys.readouterr() == ("", budget_message(0, 1, d))
+    assert calls == []  # the budget is checked before the count runs
+    monkeypatch.undo()
+    # a count at the budget is counted; checked at a small budget, since
+    # the bracket route takes seconds at 526 parts
+    monkeypatch.setattr(cli, "MAX_COUNT_WORK", 8**3)
+    code, out = run(["count", *pencil, "--d", "4", "--mu", "2,1^2", "--format", "json"], capsys)
+    record = json.loads(out)
+    assert (code, record["status"], record["result"]) == (0, "ok", 6)  # 2g - 2 + 2d at g = 0
+    assert cli.main(["count", *pencil, "--d", "5", "--mu", "2,1^3"]) == 2
+    assert capsys.readouterr() == ("", budget_message(0, 1, 5, 512))
 
 
 def test_plucker_part_limit(capsys, monkeypatch):
-    # plucker counts mu = (r+1, 1^(d-r-1)), which has d - r parts
-    limit = cli.MAX_COUNT_PARTS
-    code, out = run(["plucker", "--g", "0", "--r", "1", "--d", str(limit + 1)], capsys)
+    # plucker counts mu = (r+1, 1^(d-r-1)), which has d - r parts, under the same budget
+    code, out = run(["plucker", "--g", "0", "--r", "1", "--d", "527"], capsys)
     assert code == 0
-    assert "result=600" in out  # (r+1)d + (r+1)r(g-1) at g=0, r=1, d=301
+    assert "result=1052" in out  # (r+1)d + (r+1)r(g-1) at g=0, r=1, d=527
 
     def unreachable(g, r, d):
-        raise AssertionError("the limit is checked before the count runs")
+        raise AssertionError("the budget is checked before the count runs")
 
     monkeypatch.setattr(dejonq, "ramification_count_check", unreachable)
-    for d in (limit + 2, 20001):  # --d 20001 used to run for minutes
+    for d in (528, 20001):  # --d 20001 used to run for minutes
         assert cli.main(["plucker", "--g", "0", "--r", "1", "--d", str(d)]) == 2
-        assert capsys.readouterr().err == f"error: a count takes at most {limit} parts, got {d - 1}\n"
+        assert capsys.readouterr() == ("", budget_message(0, 1, d))
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "MAX_COUNT_PARTS", 3)
+    monkeypatch.setattr(cli, "MAX_COUNT_WORK", 8**3)
     code, out = run(["plucker", "--g", "2", "--r", "2", "--d", "5", "--format", "json"], capsys)
-    assert (code, json.loads(out)["result"]) == (0, 21)  # 3*5 + 3*2*1
+    assert (code, json.loads(out)["result"]) == (0, 21)  # 3*5 + 3*2*1, a count of 3 parts
     assert cli.main(["plucker", "--g", "2", "--r", "2", "--d", "6"]) == 2
-    assert capsys.readouterr().err == "error: a count takes at most 3 parts, got 4\n"
-    # past the limit, a request that has no count still names its own fault
+    assert capsys.readouterr() == ("", budget_message(2, 2, 6, 512))
+    # past the budget, a request that has no count still names its own fault
     for argv, message in (
         (["--g", "0", "--r", "0", "--d", "400"], "ramification_count_check requires r >= 1, got r=0"),
         (["--g", "0", "--r", "-400", "--d", "0"], "ramification_count_check requires r >= 1, got r=-400"),
@@ -567,8 +588,8 @@ COUNT_WORK_SWEEP = ["sweep", "--what", "count", "--r", "1", "--d", "4", "--mu", 
 
 
 def test_count_work_limit(capsys, monkeypatch):
-    # each cell counts three parts, 27 units of work
-    monkeypatch.setattr(cli, "MAX_COUNT_WORK", 54)
+    # each cell counts three parts, (3+5)^3 = 512 units of work
+    monkeypatch.setattr(cli, "MAX_COUNT_WORK", 2 * 512)
     code, out = run([*COUNT_WORK_SWEEP, "--g", "0:1"], capsys)
     assert (code, len(out.splitlines())) == (0, 3)  # a header and 2 rows, at the limit
     real, calls = dejonq.dj_count, 0
@@ -582,10 +603,7 @@ def test_count_work_limit(capsys, monkeypatch):
 
     monkeypatch.setattr(dejonq, "dj_count", counted)
     assert cli.main([*COUNT_WORK_SWEEP, "--g", "0:5"]) == 2
-    assert capsys.readouterr() == ("", (
-        "error: the counts of a request take at most 54 in the sum of e^3 over their partitions,"
-        " passed at g=2, r=1, d=4\n"
-    ))
+    assert capsys.readouterr() == ("", budget_message(2, 1, 4, 1024))
     assert calls == 4  # two cells, both routes each
     # a cell that the count rejects before counting costs nothing
     monkeypatch.setattr(dejonq, "dj_count", real)
@@ -601,12 +619,22 @@ def test_count_work_limit(capsys, monkeypatch):
 
 def test_count_work_limit_admits_the_large_count_sweep(monkeypatch):
     # ROADMAP's count sweep, with each count stubbed to keep the test fast
-    monkeypatch.setattr(dejonq, "dj_count", lambda g, r, d, mu, path="coefficient": CountResult(0, path, 0))
+    calls = stub_counts(monkeypatch)
     argv = ["sweep", "--g", "0:30", "--r", "1:6", "--d", "1:40", "--mu", "2^r,1^(d-2*r)"]
     records, code = cli._cmd_cells(cli.build_parser().parse_args(argv))
     assert (code, len(records)) == (0, 31 * 6 * 40)
-    work = sum((record[3].count(",") + 1) ** 3 for record in records if record[-2] == "ok")  # e from mu
-    assert work == 88_219_800 <= cli.MAX_COUNT_WORK
+    work = sum((e + 5) ** 3 for e in calls[::2])  # both routes count each cell
+    assert work == 145_847_250 <= cli.MAX_COUNT_WORK
+
+
+def test_count_work_limit_stops_the_small_partition_sweep(capsys, monkeypatch):
+    # all 195,312 cells of 8 parts would run for about 18 s; at 13^3 units a
+    # cell the budget stops the sweep at its 68,275th cell
+    calls = stub_counts(monkeypatch)
+    argv = ["sweep", "--what", "count", "--g", "0:195311", "--r", "1", "--d", "9", "--mu", "2,1^(d-r-1)"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", budget_message(68274, 1, 9))
+    assert len(calls) == 2 * 68274
 
 
 def test_negative_rho_single_command_exits_2(capsys):
