@@ -14,8 +14,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
+import json
 import random
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import prod
 from operator import itemgetter
@@ -308,8 +311,8 @@ def parse_range(text: str) -> range:
 # ---------------------------------------------------------------------------
 
 # The input keys of each command's records, in order; a sweep's records
-# have the keys of its --what.  After the input values a record holds
-# result, paths (a tuple of strings), cross_check_delta, status and verdict.
+# have the keys of its --what.  After the input values a record holds the
+# FIELDS, with paths a tuple of strings.
 KEYS = {
     "count": ("g", "r", "d", "mu"),
     "dim": ("g", "r", "d", "mu", "f"),
@@ -317,6 +320,7 @@ KEYS = {
     "plucker": ("g", "r", "d"),
     "identity": ("samples", "seed", "lo", "hi"),
 }
+FIELDS = ("result", "paths", "cross_check_delta", "status", "verdict")
 
 
 def _mu_text(mu: Partition) -> str:
@@ -395,7 +399,7 @@ def evaluate_cell(
         error = entry
     elif what == "count":
         mu, mu_text = entry
-        if g >= 0 and mu.total == d and mu.length == d - r:  # else the count rejects its inputs at once
+        if g >= 0 and mu.total == d and 0 < mu.length == d - r:  # else the count rejects its inputs at once
             charge(g, r, d, mu.length)
         try:  # dj_count checks its own contract
             record, code = _count_record(g, r, d, mu, mu_text)
@@ -441,20 +445,18 @@ def _cmd_cells(args):
     charge = _count_budget()
     records = []
     code = text = 0
-    for g in grid[0]:
-        for r in grid[1]:
-            for d in grid[2]:
-                record, cell_code, error = evaluate_cell(what, g, r, d, args.mu, mu_of, args.f, f_of, charge)
-                if error is not None and not sweep:
-                    raise error
-                text += len(record[3])  # the mu field
-                if text > MAX_MU_TEXT:
-                    raise ValueError(
-                        f"a request writes at most {MAX_MU_TEXT} characters of partition text,"
-                        f" passed at g={g}, r={r}, d={d}"
-                    )
-                records.append(record)
-                code = max(code, cell_code)
+    for g, r, d in itertools.product(*grid):
+        record, cell_code, error = evaluate_cell(what, g, r, d, args.mu, mu_of, args.f, f_of, charge)
+        if error is not None and not sweep:
+            raise error
+        text += len(record[3])  # the mu field
+        if text > MAX_MU_TEXT:
+            raise ValueError(
+                f"a request writes at most {MAX_MU_TEXT} characters of partition text,"
+                f" passed at g={g}, r={r}, d={d}"
+            )
+        records.append(record)
+        code = max(code, cell_code)
     return records, code
 
 
@@ -537,28 +539,25 @@ _JSON_LEAF = {
 }
 
 
+# Both layouts are cached for good: 5 KEYS or 5 paths tuples times 2 pads.
+@cache
 def _json_record_template(keys: tuple[str, ...], pad: str) -> str:
-    """The layout json.dumps(..., indent=2) gives a record with these input
-    keys, as an "inputs" object, indented by `pad`: a %-template with one %s
-    per field of the record."""
-    inputs = ",".join(f"\n{pad}    {encode_basestring_ascii(key)}: %s" for key in keys)
-    return (
-        f'{pad}{{\n{pad}  "inputs": {{{inputs}\n{pad}  }},\n{pad}  "result": %s,\n{pad}  "paths": %s,\n'
-        f'{pad}  "cross_check_delta": %s,\n{pad}  "status": %s,\n{pad}  "verdict": %s\n{pad}}}'
-    )
+    """json.dumps(..., indent=2) of a record with these input keys, as an
+    "inputs" object, indented by `pad`: a %-template with one %s per field
+    of the record."""
+    placeholder = {"inputs": dict.fromkeys(keys, "%s"), **dict.fromkeys(FIELDS, "%s")}
+    return pad + json.dumps(placeholder, indent=2).replace('"%s"', "%s").replace("\n", f"\n{pad}")
 
 
-def _json_list(strings, pad: str) -> str:
-    """A list of strings as a record field, as json.dumps(..., indent=2) writes it."""
-    if not strings:
-        return "[]"
-    newline = f"\n{pad}    "
-    items = f",{newline}".join(map(encode_basestring_ascii, strings))
-    return f"[{newline}{items}\n{pad}  ]"
+@cache
+def _json_list(strings: tuple[str, ...], pad: str) -> str:
+    """A tuple of strings as a record field, as json.dumps(..., indent=2) writes it."""
+    return json.dumps(strings, indent=2).replace("\n", f"\n{pad}  ")
 
 
 class _JsonLists(dict):
-    """_json_list's text of each distinct tuple of strings, written once."""
+    """_json_list's text of each distinct tuple of strings, by a dict lookup,
+    which costs less per record than a call of the cached function."""
 
     def __init__(self, pad: str):
         super().__init__()
@@ -572,12 +571,13 @@ class _JsonLists(dict):
 def render(records, fmt: str, command: str, what: str) -> str:
     """The records of `command` in `fmt`, with the input keys of `what` (a
     sweep's --what, else the command), so each format's layout is built once
-    from `KEYS`: json is json.dumps(records if a sweep else the one record,
-    indent=2) with each record's input values as an "inputs" object and its
-    paths as a list, written through a %-template since the pure-Python
-    encoder that json.dumps uses for indented output costs more than the
-    cells; csv is a header and a row per record, plain a line per record,
-    both of `_cell`s."""
+    from `KEYS` and `FIELDS`: json is json.dumps(records if a sweep else the
+    one record, indent=2) with each record's input values as an "inputs"
+    object and its paths as a list.  Its layout is derived from json.dumps
+    of a placeholder record, once per process, and each record is written
+    through that %-template, since the pure-Python encoder that json.dumps
+    uses for indented output costs more than the cells; csv is a header and
+    a row per record, plain a line per record, both of `_cell`s."""
     keys = KEYS[what]
     if fmt == "plain" and what == "identity":
         record = records[0]
@@ -596,7 +596,7 @@ def render(records, fmt: str, command: str, what: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow((*keys, "result", "paths", "cross_check_delta", "status", "verdict"))
+        writer.writerow((*keys, *FIELDS))
         writer.writerows(map(_cell, record) for record in records)
         return buf.getvalue()
     line = " ".join(f"{key}=%s" for key in (*keys, "result", "paths", "delta", "status", "verdict"))

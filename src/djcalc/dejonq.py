@@ -12,12 +12,13 @@ multilinear coefficient of t_1...t_e in
 in de Jonquieres form (ACGH I, Ch. VIII Sec. 5), in O(e^2) multiplications, with
 e_k(a) expanded over the multiplicity profile rather than by the bracket route's
 `elementary_symmetric`.  The two routes share no code beyond integer
-multiplication, which is what makes their agreement a meaningful check.
+multiplication (`math.prod`), which makes their agreement a meaningful check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import ContractViolation, IntegralityError
 from .exact import Partition, binomial, elementary_symmetric, falling_factorial
@@ -67,20 +68,13 @@ def bracket(mu: Partition, g: int) -> int:
         raise ContractViolation(f"bracket requires g >= 0, got g={g}")
     parts = mu.parts
     e = mu.length
-    prod_a = 1
-    for a in parts:
-        prod_a *= a
     lo = g - e
     total = 0
     for k in range(e + 1):
         skip = lo + k
-        prod_j = 1
-        for j in range(lo, g + 1):
-            if j != skip:
-                prod_j *= j
-        term = elementary_symmetric(parts, e - k) * prod_j
+        term = elementary_symmetric(parts, e - k) * prod(range(lo, skip)) * prod(range(skip + 1, g + 1))
         total += -term if k % 2 else term
-    return prod_a * total
+    return prod(parts) * total
 
 
 def _check_count_shape(r: int, d: int, mu: Partition) -> None:

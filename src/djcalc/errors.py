@@ -10,7 +10,7 @@ class HypothesisViolation(ValueError):
 
 
 class IntegralityError(ArithmeticError):
-    """An exact division left a remainder (a count's symmetry factor, or a binomial).
+    """An exact division left a remainder (a count's symmetry factor).
 
     This would witness a genuine integrality violation of the count formula;
     it is surfaced instead of being truncated away.

@@ -8,10 +8,8 @@ any computation path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import comb, factorial, prod
 from typing import Iterable, Sequence
-
-from .errors import IntegralityError
 
 __all__ = [
     "falling_factorial",
@@ -25,27 +23,21 @@ def falling_factorial(x: int, k: int) -> int:
     """x(x-1)...(x-k+1); defined for any integer x, k >= 0.  Empty product is 1."""
     if k < 0:
         raise ValueError(f"falling_factorial needs k >= 0, got k={k}")
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
+    return prod(range(x - k + 1, x + 1))
 
 
 def binomial(m: int, k: int) -> int:
     """Generalized binomial coefficient, valid for negative m.
 
     Returns 0 for k < 0 (the convention used throughout the count formulas);
-    otherwise falling_factorial(m, k) / k!, which is exact since any product
-    of k consecutive integers is divisible by k!.
+    otherwise falling_factorial(m, k) / k!, which for m < 0 is
+    (-1)^k C(k-m-1, k) (upper negation).
     """
     if k < 0:
         return 0
-    num = falling_factorial(m, k)
-    den = factorial(k)
-    q, rem = divmod(num, den)
-    if rem != 0:
-        raise IntegralityError(f"binomial({m},{k}) not integral")
-    return q
+    if m >= 0:
+        return comb(m, k)
+    return (-1) ** k * comb(k - m - 1, k)
 
 
 def elementary_symmetric(values: Sequence[int], j: int) -> int:
@@ -57,7 +49,7 @@ def elementary_symmetric(values: Sequence[int], j: int) -> int:
     coeffs = [0] * (j + 1)
     coeffs[0] = 1
     for v in values:
-        for i in range(min(j, len(coeffs) - 1), 0, -1):
+        for i in range(j, 0, -1):
             coeffs[i] += v * coeffs[i - 1]
     return coeffs[j]
 
@@ -97,10 +89,7 @@ class Partition:
     @property
     def symmetry_factor(self) -> int:
         """Product of n_v! over the multiplicity profile (orders within equal parts)."""
-        out = 1
-        for n in self.multiplicities.values():
-            out *= factorial(n)
-        return out
+        return prod(map(factorial, self.multiplicities.values()))
 
     def __iter__(self):
         return iter(self.parts)

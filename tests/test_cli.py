@@ -617,6 +617,17 @@ def test_count_work_limit(capsys, monkeypatch):
         assert all(f" status=skipped: {status}" in line for line in out.splitlines())
 
 
+def test_empty_partition_count_costs_nothing(capsys, monkeypatch):
+    # the empty partition has the count's shape at d = r = 0, but the count
+    # rejects it before counting, so even a budget below (0+5)^3 admits it
+    monkeypatch.setattr(cli, "MAX_COUNT_WORK", 5**3 - 1)
+    cell = ["--g", "0", "--r", "0", "--d", "0", "--mu", "1^0"]
+    assert cli.main(["count", *cell]) == 2
+    assert capsys.readouterr() == ("", "error: coefficient_count requires a nonempty partition\n")
+    code, out = run(["sweep", "--what", "count", *cell, "--format", "csv"], capsys)
+    assert (code, out.splitlines()[1:]) == (0, ["0,0,0,,,,,skipped: coefficient_count requires a nonempty partition,"])
+
+
 def test_count_work_limit_admits_the_large_count_sweep(monkeypatch):
     # ROADMAP's count sweep, with each count stubbed to keep the test fast
     calls = stub_counts(monkeypatch)

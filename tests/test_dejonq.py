@@ -189,6 +189,23 @@ def test_coefficient_count_does_not_use_elementary_symmetric(monkeypatch):
         bracket(mu, 4)
 
 
+def test_bracket_does_not_use_falling_factorial_or_binomial(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the bracket route must not call falling_factorial or binomial")
+
+    mu = Partition([3, 2, 2, 1, 1, 1])
+    d = mu.total
+    r = d - mu.length
+    expected = subset_sum_count(4, r, d, mu)
+    for module in (djcalc.exact, djcalc.dejonq):
+        monkeypatch.setattr(module, "falling_factorial", forbidden)
+        monkeypatch.setattr(module, "binomial", forbidden)
+    assert bracket(mu, 4) == expected
+    assert dj_count(4, r, d, mu, path="bracket").ordered_value == expected
+    with pytest.raises(AssertionError):
+        coefficient_count(4, r, d, mu)
+
+
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.integers(0, 6), st.randoms())
 def test_coefficient_count_permutation_symmetric(parts, g, rng):
     shuffled = list(parts)

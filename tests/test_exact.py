@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import djcalc.exact
-from djcalc.errors import IntegralityError
 from djcalc.exact import Partition, binomial, elementary_symmetric, falling_factorial
 
 
@@ -39,11 +37,28 @@ def test_binomial_times_factorial_is_falling_factorial():
             assert falling_factorial(x, k) == binomial(x, k) * math.factorial(k)
 
 
-def test_binomial_raises_on_inexact_division(monkeypatch):
-    # a real error rather than an assert, so that python -O keeps the check
-    monkeypatch.setattr(djcalc.exact, "factorial", lambda k: math.factorial(k) + 1)
-    with pytest.raises(IntegralityError, match=r"binomial\(6,3\) not integral"):
-        binomial(6, 3)
+# far past the box above, and across m = 0, where binomial switches from
+# comb(m, k) to upper negation
+HUGE = st.one_of(st.integers(-70, 70), st.integers(-(10**40), 10**40))
+LOWER = st.integers(-2, 60)
+
+
+@given(HUGE, LOWER)
+def test_binomial_times_factorial_is_falling_factorial_far_out(m, k):
+    if k < 0:
+        assert binomial(m, k) == 0
+    else:
+        assert binomial(m, k) * math.factorial(k) == falling_factorial(m, k)
+
+
+@given(HUGE, LOWER)
+def test_binomial_pascal_rule(m, k):
+    assert binomial(m, k) == binomial(m - 1, k) + binomial(m - 1, k - 1)
+
+
+@given(HUGE, st.integers(0, 60))
+def test_falling_factorial_recurrence(x, k):
+    assert falling_factorial(x, k + 1) == falling_factorial(x, k) * (x - k)
 
 
 def test_elementary_symmetric_examples():
@@ -113,6 +128,12 @@ def test_partition_symmetry_factor():
     assert Partition([2, 2, 2]).symmetry_factor == 6
     assert Partition([3, 1, 1, 1]).symmetry_factor == 6
     assert Partition([]).symmetry_factor == 1
+
+
+@given(st.lists(st.integers(1, 6), max_size=20))
+def test_partition_symmetry_factor_counts_equal_parts(parts):
+    expected = math.prod(math.factorial(parts.count(v)) for v in set(parts))
+    assert Partition(parts).symmetry_factor == expected
 
 
 @pytest.mark.parametrize("bad", [[0], [-1], [2, 0], [1.5], [True, 2]])
