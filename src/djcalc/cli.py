@@ -42,9 +42,9 @@ def _tokenize(text: str) -> list[str]:
         c = text[i]
         if c.isspace():
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():  # exactly the digits that int() reads
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(text[i:j])
             i = j
@@ -81,9 +81,9 @@ MAX_MU_TEXT = 10_000_000
 
 # The most work the counts of one request take, as the sum of (e+5)^3 over
 # its counts of e parts each; checked before each count runs.  Both routes
-# of a count took about 40 to 90 ns per unit from 1 to 526 parts on a
+# of a count took about 38 to 78 ns per unit from 1 to 526 parts on a
 # shared 2-vCPU VM with Python 3.11, so a request at the bound runs for
-# about 11 s at most.  A single count takes at most 526 parts.
+# about 12 s at most.  A single count takes at most 526 parts.
 MAX_COUNT_WORK = 150_000_000
 
 # The most samples `identity` draws: well under a second of proof_identity calls.
@@ -132,7 +132,7 @@ def compile_int_expr(
             take()
             return value
         take()
-        if tok.isdigit():
+        if tok.isdecimal():
             return int(tok)
         if tok in names:
             reads.add(tok)
@@ -331,21 +331,16 @@ def _verdict(dim: int) -> str:
     return "empty" if dim < 0 else "possible"
 
 
-def _count_budget() -> Callable[[int, int, int, int], None]:
-    """The charge of one request's counts: `charge(g, r, d, e)` adds (e+5)^3
-    for a count of e parts at cell (g, r, d), and raises ValueError once the
-    request passes MAX_COUNT_WORK."""
-    work = 0
-
-    def charge(g: int, r: int, d: int, e: int) -> None:
-        nonlocal work
-        work += (e + 5) ** 3
-        if work > MAX_COUNT_WORK:
-            raise ValueError(
-                f"the counts of a request take at most {MAX_COUNT_WORK} in the sum of (e+5)^3 over their partitions,"
-                f" passed at g={g}, r={r}, d={d}"
-            )
-    return charge
+def _charge(work: int, g: int, r: int, d: int, e: int) -> int:
+    """`work` plus (e+5)^3, the charge of a count of e parts at cell (g, r, d);
+    raises ValueError once a request's total passes MAX_COUNT_WORK."""
+    work += (e + 5) ** 3
+    if work > MAX_COUNT_WORK:
+        raise ValueError(
+            f"the counts of a request take at most {MAX_COUNT_WORK} in the sum of (e+5)^3 over their partitions,"
+            f" passed at g={g}, r={r}, d={d}"
+        )
+    return work
 
 
 def _cross_check(
@@ -375,62 +370,17 @@ def _count_record(g: int, r: int, d: int, mu: Partition, mu_text: str):
     )
 
 
-def evaluate_cell(
-    what: str, g: int, r: int, d: int,
-    mu_spec: str, mu_of: Callable[[dict[str, int]], tuple[Partition, str] | ValueError],
-    f_spec: str | None, f_of: Callable[[dict[str, int], Partition], int | ValueError] | None,
-    charge: Callable[[int, int, int, int], None],
-):
-    """One (g, r, d) cell of a count, dim or empty request, from the compiled
-    specs `mu_of` (the partition and its record text) and `f_of`: returns
-    (record, exit code, error).  A count cell calls `charge(g, r, d, e)`
-    before it counts a partition of e parts that the count admits; the
-    charge's ValueError stops the request.
-
-    A cell that fails validation gives a `skipped: <message>` record, exit
-    code 0 and the ValueError.  The record's inputs show each spec's text
-    until it evaluates, then its value.  A dim or empty cell raises nothing:
-    the specs and the kernel return their errors.
-    """
-    env = {"g": g, "r": r, "d": d}
-    mu_text, f = mu_spec, f_spec
-    entry = mu_of(env)
-    if isinstance(entry, ValueError):
-        error = entry
-    elif what == "count":
-        mu, mu_text = entry
-        if g >= 0 and mu.total == d and 0 < mu.length == d - r:  # else the count rejects its inputs at once
-            charge(g, r, d, mu.length)
-        try:  # dj_count checks its own contract
-            record, code = _count_record(g, r, d, mu, mu_text)
-            return record, code, None
-        except ValueError as exc:
-            error = exc
-    else:
-        mu, mu_text = entry
-        value = f_of(env, mu)
-        if isinstance(value, ValueError):
-            error = value
-        else:
-            f = value
-            dim = bn.expected_dim_or_error(g, r, d, mu.length, mu.total, f)
-            if not isinstance(dim, ValueError):
-                return (g, r, d, mu_text, f, dim if what == "dim" else dim < 0, ("dimension",), None, "ok",
-                        _verdict(dim)), 0, None
-            error = dim
-    if what == "count":
-        return (g, r, d, mu_text, None, (), None, f"skipped: {error}", None), 0, error
-    return (g, r, d, mu_text, f, None, (), None, f"skipped: {error}", None), 0, error
-
-
 # ---------------------------------------------------------------------------
 # commands: each returns (records, exit_code)
 # ---------------------------------------------------------------------------
 
 def _cmd_cells(args):
     """count, dim, empty and sweep: the cells of a (g, r, d) grid in
-    lexicographic order.  A single command is the 1x1x1 grid, and raises its
-    cell's validation error where a sweep emits the skipped record."""
+    lexicographic order.  A cell that fails validation in its specs, in
+    dejonq.count_error or in the kernel gets that error as a value: a sweep
+    emits a `skipped: <message>` record, whose inputs show each spec's text
+    until it evaluates, and a single command, the 1x1x1 grid, raises it.  A
+    count is charged to the request only once count_error passes it."""
     sweep = args.command == "sweep"
     if sweep:
         grid = (parse_range(args.g), parse_range(args.r), parse_range(args.d))
@@ -440,16 +390,42 @@ def _cmd_cells(args):
     else:
         grid = ((args.g,), (args.r,), (args.d,))
     what, names = args.what, ("g", "r", "d")
+    count = what == "count"
     mu_of = compile_partition_spec(args.mu, names, dict(zip(names, grid)))
-    f_of = None if what == "count" else compile_f_spec(args.f, names)
-    charge = _count_budget()
+    f_of = None if count else compile_f_spec(args.f, names)
     records = []
-    code = text = 0
+    code = text = work = 0
     for g, r, d in itertools.product(*grid):
-        record, cell_code, error = evaluate_cell(what, g, r, d, args.mu, mu_of, args.f, f_of, charge)
-        if error is not None and not sweep:
-            raise error
-        text += len(record[3])  # the mu field
+        env = {"g": g, "r": r, "d": d}
+        mu_text, f = args.mu, args.f
+        entry = mu_of(env)
+        if isinstance(entry, ValueError):
+            error = entry
+        elif count:
+            mu, mu_text = entry
+            error = dejonq.count_error(g, r, d, mu.length, mu.total)
+            if error is None:
+                work = _charge(work, g, r, d, mu.length)
+                record, cell_code = _count_record(g, r, d, mu, mu_text)
+        else:
+            mu, mu_text = entry
+            value = f_of(env, mu)
+            if isinstance(value, ValueError):
+                error = value
+            else:
+                f, dim = value, bn.expected_dim_or_error(g, r, d, mu.length, mu.total, value)
+                if isinstance(dim, ValueError):
+                    error = dim
+                else:
+                    error, cell_code = None, 0
+                    record = (g, r, d, mu_text, f, dim if what == "dim" else dim < 0, ("dimension",), None, "ok",
+                              _verdict(dim))
+        if error is not None:
+            if not sweep:
+                raise error
+            inputs = (g, r, d, mu_text) if count else (g, r, d, mu_text, f)
+            record, cell_code = (*inputs, None, (), None, f"skipped: {error}", None), 0
+        text += len(mu_text)
         if text > MAX_MU_TEXT:
             raise ValueError(
                 f"a request writes at most {MAX_MU_TEXT} characters of partition text,"
@@ -463,7 +439,7 @@ def _cmd_cells(args):
 def _cmd_plucker(args):
     g, r, d = args.g, args.r, args.d
     if r >= 1 and g >= 0 and d >= r + 1:  # otherwise the count's own precondition names the fault
-        _count_budget()(g, r, d, d - r)  # the count has mu = (r+1, 1^(d-r-1))
+        _charge(0, g, r, d, d - r)  # the count has mu = (r+1, 1^(d-r-1))
     record, code = _cross_check(  # the closed form is the result, the count its check
         (g, r, d), ("coefficient", "closed_form"),
         lambda: dejonq.ramification_count_check(g, r, d)[::-1], "count and closed form disagree",
@@ -539,7 +515,7 @@ _JSON_LEAF = {
 }
 
 
-# Both layouts are cached for good: 5 KEYS or 5 paths tuples times 2 pads.
+# Cached for good: 5 KEYS times 2 pads.
 @cache
 def _json_record_template(keys: tuple[str, ...], pad: str) -> str:
     """json.dumps(..., indent=2) of a record with these input keys, as an
@@ -549,22 +525,16 @@ def _json_record_template(keys: tuple[str, ...], pad: str) -> str:
     return pad + json.dumps(placeholder, indent=2).replace('"%s"', "%s").replace("\n", f"\n{pad}")
 
 
-@cache
-def _json_list(strings: tuple[str, ...], pad: str) -> str:
-    """A tuple of strings as a record field, as json.dumps(..., indent=2) writes it."""
-    return json.dumps(strings, indent=2).replace("\n", f"\n{pad}  ")
-
-
 class _JsonLists(dict):
-    """_json_list's text of each distinct tuple of strings, by a dict lookup,
-    which costs less per record than a call of the cached function."""
+    """Each tuple of strings as json.dumps(..., indent=2) writes it, built once
+    per render: a dict lookup costs less per record than a function call."""
 
     def __init__(self, pad: str):
         super().__init__()
         self.pad = pad
 
     def __missing__(self, strings: tuple[str, ...]) -> str:
-        text = self[strings] = _json_list(strings, self.pad)
+        text = self[strings] = json.dumps(strings, indent=2).replace("\n", f"\n{self.pad}  ")
         return text
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "CountResult",
     "bracket",
     "coefficient_count",
+    "count_error",
     "dj_count",
     "double_point_count",
     "plucker_total",
@@ -77,12 +78,25 @@ def bracket(mu: Partition, g: int) -> int:
     return prod(parts) * total
 
 
-def _check_count_shape(r: int, d: int, mu: Partition) -> None:
-    """The finite-count shape |mu| = d and len(mu) = d - r, shared by both routes."""
-    if mu.total != d:
-        raise ContractViolation(f"|mu| = d violated: |mu|={mu.total}, d={d}")
-    if mu.length != d - r:
-        raise ContractViolation(f"len(mu) = d - r violated: len(mu)={mu.length}, d-r={d - r}")
+def _shape_error(r: int, d: int, e: int, s: int) -> ContractViolation | None:
+    """The first failed check of the finite-count shape |mu| = d and len(mu) =
+    d - r, shared by both routes, for a partition of length e and sum s."""
+    if s != d:
+        return ContractViolation(f"|mu| = d violated: |mu|={s}, d={d}")
+    if e != d - r:
+        return ContractViolation(f"len(mu) = d - r violated: len(mu)={e}, d-r={d - r}")
+    return None
+
+
+def count_error(g: int, r: int, d: int, e: int, s: int) -> ContractViolation | None:
+    """The first failed precondition of coefficient_count for a partition of
+    length e and sum s, unraised, or None: None exactly when neither route
+    of dj_count rejects its inputs."""
+    if e == 0:
+        return ContractViolation("coefficient_count requires a nonempty partition")
+    if g < 0:
+        return ContractViolation(f"coefficient_count requires g >= 0, got g={g}")
+    return _shape_error(r, d, e, s)
 
 
 def coefficient_count(g: int, r: int, d: int, mu: Partition) -> int:
@@ -95,11 +109,9 @@ def coefficient_count(g: int, r: int, d: int, mu: Partition) -> int:
     with e_k(a) read off prod_v (1 + v t)^(n_v), whose rows are C(n_v, j) * v^j.
     """
     e = mu.length
-    if e == 0:
-        raise ContractViolation("coefficient_count requires a nonempty partition")
-    if g < 0:
-        raise ContractViolation(f"coefficient_count requires g >= 0, got g={g}")
-    _check_count_shape(r, d, mu)
+    error = count_error(g, r, d, e, mu.total)
+    if error is not None:
+        raise error
     esym = [1]
     prod_a = 1
     for v, n in mu.multiplicities.items():
@@ -125,7 +137,9 @@ def dj_count(g: int, r: int, d: int, mu: Partition, path: str = "coefficient") -
     if path == "coefficient":
         ordered = coefficient_count(g, r, d, mu)
     elif path == "bracket":
-        _check_count_shape(r, d, mu)
+        error = _shape_error(r, d, mu.length, mu.total)
+        if error is not None:
+            raise error
         ordered = bracket(mu, g)
     else:
         raise ValueError(f"unknown count path {path!r}")

@@ -4,7 +4,9 @@ import json
 import os
 import random
 import re
+import shlex
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,17 @@ def test_parse_f_spec():
     # span=s inverts the span formula f = |mu| - span - 1
     assert f_value("span=1", env, mu) == 2
     assert f_value("span=r-2", env, mu) == 3
+
+
+def test_non_decimal_digits_name_their_expression(capsys):
+    # '²' passes str.isdigit but not int(); '٢' is a decimal digit, read as 2
+    cell = ["--g", "3", "--r", "2", "--d", "4"]
+    for argv in (["count", *cell, "--mu", "²,2"], ["dim", *cell, "--mu", "2,2", "--f", "span=²"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: unexpected character '²' in expression '²'\n")
+    assert run(["count", *cell, "--mu", "٢,٢"], capsys) == run(["count", *cell, "--mu", "2,2"], capsys)
+    assert run(["dim", *cell, "--mu", "2,2", "--f", "span=٢"], capsys) == run(
+        ["dim", *cell, "--mu", "2,2", "--f", "span=2"], capsys)
 
 
 def test_eval_int_expr_long_chain_is_not_recursive():
@@ -217,9 +230,9 @@ def oracle_tokenize(text):
         c = text[i]
         if c.isspace():
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(text[i:j])
             i = j
@@ -265,7 +278,7 @@ def oracle_eval_int_expr(text, env):
             take()
             return value
         take()
-        if tok.isdigit():
+        if tok.isdecimal():
             return int(tok)
         if tok in env:
             return env[tok]
@@ -341,8 +354,9 @@ def outcome(fn, *args):
 
 # Numbers of at most two digits: a product of a few of them is far below
 # cli.MAX_PARTS, so no case allocates a large partition in either parser.
+# '٢' is a decimal digit (2) and '²' a digit that int() does not read.
 spec_texts = st.lists(
-    st.sampled_from(list("0123456789grdesx+-*()^,") + ["span=", " "]), max_size=10,
+    st.sampled_from(list("0123456789٢²grdesx+-*()^,") + ["span=", " "]), max_size=10,
 ).map("".join).filter(lambda text: not re.search(r"\d{3}", text))
 envs = st.fixed_dictionaries({name: st.integers(-3, 6) for name in "grd"})
 
@@ -371,6 +385,22 @@ def test_parse_range():
 # ---------------------------------------------------------------------------
 # single commands
 # ---------------------------------------------------------------------------
+
+
+def readme_examples():
+    """The `djcalc ...` lines of the sh block under README's `## Command line`."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as readme:
+        section = readme.read().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("djcalc ")]
+
+
+def test_readme_command_line_examples_exit_0(capsys):
+    lines = readme_examples()
+    assert lines
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().err == "", line
 
 
 def test_count_json(capsys):
@@ -628,6 +658,21 @@ def test_empty_partition_count_costs_nothing(capsys, monkeypatch):
     assert (code, out.splitlines()[1:]) == (0, ["0,0,0,,,,,skipped: coefficient_count requires a nonempty partition,"])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 12), st.integers(-3, 8), st.integers(-3, 20), st.lists(st.integers(1, 5), max_size=6))
+def test_count_error_decides_which_counts_run(g, r, d, parts):
+    mu = Partition(parts)
+    error = dejonq.count_error(g, r, d, mu.length, mu.total)
+    routes = [outcome(dejonq.dj_count, g, r, d, mu, path) for path in ("coefficient", "bracket")]
+    assert (error is None) == all(route[0] == "value" for route in routes)
+    if error is not None:
+        assert routes[0] == ("error", type(error), str(error))  # coefficient_count raises it
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["count", f"--g={g}", f"--r={r}", f"--d={d}", "--mu", ",".join(map(str, parts)) or "1^0"])
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {error}\n")
+
+
 def test_count_work_limit_admits_the_large_count_sweep(monkeypatch):
     # ROADMAP's count sweep, with each count stubbed to keep the test fast
     calls = stub_counts(monkeypatch)
@@ -803,27 +848,33 @@ def test_sweep_cell_limit(capsys, monkeypatch):
 
 def test_huge_sweep_exits_2_before_any_cell(capsys, monkeypatch):
     def unreachable(*args):
-        raise AssertionError("the grid size is checked before anything is compiled")
+        raise AssertionError("the grid size is checked before anything is compiled or any cell is reached")
 
-    for name in ("compile_partition_spec", "compile_f_spec", "evaluate_cell"):
+    for name in ("compile_partition_spec", "compile_f_spec", "_count_record"):
         monkeypatch.setattr(cli, name, unreachable)
+    monkeypatch.setattr(dejonq, "count_error", unreachable)
+    monkeypatch.setattr(cli.bn, "expected_dim_or_error", unreachable)
     for g, cells in (("0:1000000000", 10**9 + 1), ("0:100000000000000000000", 10**20 + 1)):
-        argv = ["sweep", "--what", "dim", "--g", g, "--r", "1", "--d", "1", "--mu", "1", "--f", "0"]
-        assert cli.main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: a sweep takes at most {cli.MAX_CELLS} cells, got {cells}\n")
+        for what in ("dim", "count"):
+            argv = ["sweep", "--what", what, "--g", g, "--r", "1", "--d", "1", "--mu", "1", "--f", "0"]
+            assert cli.main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: a sweep takes at most {cli.MAX_CELLS} cells, got {cells}\n")
 
 
 def test_sweep_cell_limit_admits_the_160400_cell_grid(monkeypatch):
-    # a 160,400-cell grid is under the cap; each cell is stubbed to keep the test fast
+    # a 160,400-cell grid is under the cap; the specs and the kernel are
+    # stubbed to keep the test fast, and the kernel counts the cells
     evaluated = 0
-    record = (0, 1, 1, "1", 0, 0, ("dimension",), None, "ok", "possible")
 
-    def cell(*args):
+    def kernel(*args):
         nonlocal evaluated
         evaluated += 1
-        return record, 0, None
+        return 0
 
-    monkeypatch.setattr(cli, "evaluate_cell", cell)
+    mu = Partition((1,))
+    monkeypatch.setattr(cli, "compile_partition_spec", lambda *args: lambda env: (mu, "1"))
+    monkeypatch.setattr(cli, "compile_f_spec", lambda *args: lambda env, mu: 0)
+    monkeypatch.setattr(cli.bn, "expected_dim_or_error", kernel)
     monkeypatch.setattr(cli, "render", lambda *args, **kwargs: "")
     argv = ["sweep", "--g", "0:400", "--r", "1:20", "--d", "1:20", "--mu", "2^r,1^(d-2*r)", "--f", "span=r-1",
             "--what", "dim"]
@@ -870,6 +921,15 @@ SKIP_KINDS = [
     ("< 0; the dimension statement assumes rho >= 0", 10, ["--r", "2", "--d", "4", "--mu", "2,2", "--f", "2"]),
 ]
 
+# The same for skipped count cells: a --mu error, then count_error's four.
+COUNT_SKIP_KINDS = [
+    ("unknown variable 'x'", 10, ["--r", "2", "--d", "4", "--mu", "x"]),
+    ("|mu| = d violated", 10, ["--r", "2", "--d", "4", "--mu", "2,1"]),
+    ("len(mu) = d - r violated", 10, ["--r", "2", "--d", "4", "--mu", "2,1,1"]),
+    ("coefficient_count requires g >= 0", -59, ["--r", "2", "--d", "4", "--mu", "2,2"]),
+    ("coefficient_count requires a nonempty partition", 10, ["--r", "0", "--d", "0", "--mu", "1^0"]),
+]
+
 
 def exception_events(argv):
     """cli.run(argv), and the number of exception events in djcalc's frames,
@@ -894,18 +954,27 @@ def exception_events(argv):
     return events, result
 
 
-@pytest.mark.parametrize("message, g, rest", SKIP_KINDS)
-def test_skipped_dim_cells_raise_nothing(message, g, rest):
+def assert_skipped_cells_raise_nothing(what, message, g, rest):
     # a compile error may raise once per request, never once per cell
     counted = []
     for grid in (f"{g}", f"{g}:{g + 49}"):
-        events, (code, out) = exception_events(["sweep", "--what", "dim", f"--g={grid}", *rest, "--format", "csv"])
+        events, (code, out) = exception_events(["sweep", "--what", what, f"--g={grid}", *rest, "--format", "csv"])
         rows = list(csv.DictReader(io.StringIO(out)))
         assert code == 0
         assert len(rows) == (1 if ":" not in grid else 50)
         assert all(row["status"].startswith("skipped: ") and message in row["status"] for row in rows)
         counted.append(events)
     assert counted[1] == counted[0]
+
+
+@pytest.mark.parametrize("message, g, rest", SKIP_KINDS)
+def test_skipped_dim_cells_raise_nothing(message, g, rest):
+    assert_skipped_cells_raise_nothing("dim", message, g, rest)
+
+
+@pytest.mark.parametrize("message, g, rest", COUNT_SKIP_KINDS)
+def test_skipped_count_cells_raise_nothing(message, g, rest):
+    assert_skipped_cells_raise_nothing("count", message, g, rest)
 
 
 def test_sweep_requires_f_for_dim(capsys):
