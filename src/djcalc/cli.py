@@ -42,15 +42,10 @@ def _tokenize(text: str) -> list[str]:
         c = text[i]
         if c.isspace():
             i += 1
-        elif c.isdecimal():  # exactly the digits that int() reads
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
+        elif c.isdecimal() or c.isalpha():  # isdecimal: exactly the digits that int() reads
+            same = str.isdecimal if c.isdecimal() else str.isalpha  # the two classes are disjoint
+            j = i + 1
+            while j < len(text) and same(text[j]):
                 j += 1
             tokens.append(text[i:j])
             i = j
@@ -273,25 +268,19 @@ def compile_partition_spec(
     return memoized
 
 
-def compile_f_spec(
-    spec: str, names: Iterable[str]
-) -> Callable[[dict[str, int], Partition], int | ValueError]:
-    """Compile an f spec into a function of (env, mu): an integer expression
-    over `names` (e.g. g, r, d), e (partition length) and s (partition sum),
-    or 'span=<expr>' for f = |mu| - span - 1.  A compile error is returned,
-    unraised, when the function is called."""
+def compile_f_spec(spec: str, names: Iterable[str]) -> Callable[[dict[str, int]], int | ValueError]:
+    """Compile an f spec into a function of an env that binds `names` (e.g.
+    g, r, d) and e and s, the length and the sum of the cell's partition: an
+    integer expression over those names, or 'span=<expr>' for
+    f = s - span - 1.  A compile error is returned, unraised, when the
+    function is called."""
     span = spec.startswith("span=")
     try:
-        value_of, reads = compile_int_expr(spec[len("span="):] if span else spec, {*names, "e", "s"})
+        value_of, _ = compile_int_expr(spec[len("span="):] if span else spec, {*names, "e", "s"})
     except ValueError as exc:
         compile_error = exc.with_traceback(None)
-        return lambda env, mu: compile_error
-    reads_mu = not reads.isdisjoint(("e", "s"))
-
-    def f_value(env: dict[str, int], mu: Partition) -> int:
-        value = value_of({**env, "e": mu.length, "s": mu.total} if reads_mu else env)
-        return mu.total - value - 1 if span else value
-    return f_value
+        return lambda env: compile_error
+    return (lambda env: env["s"] - value_of(env) - 1) if span else value_of
 
 
 def parse_range(text: str) -> range:
@@ -409,7 +398,8 @@ def _cmd_cells(args):
                 record, cell_code = _count_record(g, r, d, mu, mu_text)
         else:
             mu, mu_text = entry
-            value = f_of(env, mu)
+            env["e"], env["s"] = mu.length, mu.total
+            value = f_of(env)
             if isinstance(value, ValueError):
                 error = value
             else:
@@ -584,9 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default="plain")
-
     series = argparse.ArgumentParser(add_help=False)
     for name in ("--g", "--r", "--d"):
         series.add_argument(name, type=int, required=True)
@@ -594,13 +581,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", parents=[series], help="contact-divisor count via both evaluation paths")
     p.add_argument("--mu", required=True, help="partition, e.g. '2,2' or '2^3,1^2'")
     p.set_defaults(f=None, what="count")
-    add_format(p)
 
     p = sub.add_parser("dim", parents=[series], help="expected dimension of the universal secant locus")
     p.add_argument("--mu", required=True)
     p.add_argument("--f", required=True, help="rank deficiency: integer, expression, or 'span=<s>'")
     p.set_defaults(what="dim")
-    add_format(p)
 
     p = sub.add_parser(
         "empty", parents=[series], help="is the secant locus empty for every series on a general curve?"
@@ -608,11 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     p.add_argument("--f", required=True)
     p.set_defaults(what="empty")
-    add_format(p)
 
     p = sub.add_parser("plucker", parents=[series], help="simple-ramification count against the closed-form total")
     p.set_defaults(what="plucker")
-    add_format(p)
 
     p = sub.add_parser("identity", help="randomized check of the dimension-count identity")
     p.add_argument("--samples", type=int, default=1000)
@@ -620,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=int, default=-5)
     p.add_argument("--hi", type=int, default=20)
     p.set_defaults(what="identity")
-    add_format(p)
 
     p = sub.add_parser("sweep", help="evaluate a grid of (g, r, d) cells in fixed order")
     p.add_argument("--g", required=True, help="inclusive range 'lo:hi' or single value")
@@ -629,8 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, help="partition pattern, e.g. '2^r,1^(d-2*r)'")
     p.add_argument("--f", help="required for --what dim/empty")
     p.add_argument("--what", choices=("count", "dim", "empty"), default="count")
-    add_format(p)
 
+    for p in sub.choices.values():  # last, so that it is each subcommand's last option
+        p.add_argument("--format", choices=FORMATS, default="plain")
     return parser
 
 

@@ -7,9 +7,10 @@ any computation path.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, factorial, prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "falling_factorial",
@@ -62,15 +63,15 @@ class Partition:
     every downstream operation consumes the canonical form.
     """
 
-    parts: tuple[int, ...] = field(default=())
+    parts: tuple[int, ...] = ()
     # Number of parts (the number of distinct contact points) and their sum
     # (the degree of the contact divisor), computed once; they take no part
     # in repr, == or hash, which see the parts alone.
-    length: int = field(default=0, repr=False, compare=False)
-    total: int = field(default=0, repr=False, compare=False)
+    length: int = field(init=False, repr=False, compare=False)
+    total: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, parts: Iterable[int] = ()) -> None:
-        canonical = tuple(sorted(parts, reverse=True))
+    def __post_init__(self) -> None:
+        canonical = tuple(sorted(self.parts, reverse=True))
         for a in canonical:
             if isinstance(a, bool) or not isinstance(a, int) or a < 1:
                 raise ValueError(f"partition parts must be positive integers, got {a!r}")
@@ -81,10 +82,7 @@ class Partition:
     @property
     def multiplicities(self) -> dict[int, int]:
         """Map part value -> number of parts with that value."""
-        profile: dict[int, int] = {}
-        for a in self.parts:
-            profile[a] = profile.get(a, 0) + 1
-        return profile
+        return dict(Counter(self.parts))
 
     @property
     def symmetry_factor(self) -> int:

@@ -11,7 +11,7 @@ separate type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import le, lt
 from typing import Iterable, Sequence
 
@@ -35,32 +35,32 @@ __all__ = [
 ]
 
 
-def _init_sequence(seq, kind: str, entries: Iterable[int], d: int, strict: bool) -> None:
-    """Validate and store the entries of a vanishing sequence (strict, top
-    entry at most d) or of a ramification sequence (weak, top at most d-r)."""
-    entries = tuple(entries)
+def _init_sequence(seq, kind: str, strict: bool) -> None:
+    """Validate and store as a tuple the entries of a vanishing sequence
+    (strict, top entry at most d) or of a ramification sequence (weak, top at
+    most d-r)."""
+    entries = tuple(seq.entries)
     if not entries:
         raise ValueError(f"{kind} sequence must have length r+1 >= 1")
     out_of_order = le if strict else lt
     for prev, cur in zip(entries, entries[1:]):
         if out_of_order(cur, prev):
             raise ValueError(f"{kind} sequence must {'strictly' if strict else 'weakly'} increase, got {entries}")
-    top = d if strict else d - (len(entries) - 1)
+    top = seq.d if strict else seq.d - (len(entries) - 1)
     if entries[0] < 0 or entries[-1] > top:
         raise ValueError(f"{kind} sequence {entries} out of range [0, {top}]")
     object.__setattr__(seq, "entries", entries)
-    object.__setattr__(seq, "d", d)
 
 
 @dataclass(frozen=True)
 class VanishingSequence:
     """Strictly increasing vanishing orders a_0 < ... < a_r in [0, d]."""
 
-    entries: tuple[int, ...] = field(default=())
-    d: int = 0
+    entries: tuple[int, ...]
+    d: int
 
-    def __init__(self, entries: Iterable[int], d: int) -> None:
-        _init_sequence(self, "vanishing", entries, d, strict=True)
+    def __post_init__(self) -> None:
+        _init_sequence(self, "vanishing", strict=True)
 
     @property
     def r(self) -> int:
@@ -71,11 +71,11 @@ class VanishingSequence:
 class RamificationSequence:
     """Weakly increasing ramification orders 0 <= alpha_0 <= ... <= alpha_r <= d-r."""
 
-    entries: tuple[int, ...] = field(default=())
-    d: int = 0
+    entries: tuple[int, ...]
+    d: int
 
-    def __init__(self, entries: Iterable[int], d: int) -> None:
-        _init_sequence(self, "ramification", entries, d, strict=False)
+    def __post_init__(self) -> None:
+        _init_sequence(self, "ramification", strict=False)
 
     @property
     def r(self) -> int:

@@ -44,7 +44,8 @@ def partition(spec, env):
 
 
 def f_value(spec, env, mu):
-    value = cli.compile_f_spec(spec, env)(env, mu)
+    env = dict(env, e=mu.length, s=mu.total)  # as the cell binds them once --mu evaluates
+    value = cli.compile_f_spec(spec, ("g", "r", "d"))(env)
     if isinstance(value, ValueError):
         raise value
     return value
@@ -371,7 +372,7 @@ def test_compiled_specs_match_interpreting_oracle(text, cells, parts):
         assert outcome(compiled_mu, env) == outcome(oracle_partition_entry, text, env)
         assert outcome(partition, text, env) == outcome(oracle_parse_partition_spec, text, env)
         expected_f = outcome(oracle_parse_f_spec, text, env, mu)
-        assert outcome(compiled_f, env, mu) == expected_f
+        assert outcome(compiled_f, dict(env, e=mu.length, s=mu.total)) == expected_f
         assert outcome(f_value, text, env, mu) == expected_f
 
 
@@ -873,7 +874,7 @@ def test_sweep_cell_limit_admits_the_160400_cell_grid(monkeypatch):
 
     mu = Partition((1,))
     monkeypatch.setattr(cli, "compile_partition_spec", lambda *args: lambda env: (mu, "1"))
-    monkeypatch.setattr(cli, "compile_f_spec", lambda *args: lambda env, mu: 0)
+    monkeypatch.setattr(cli, "compile_f_spec", lambda *args: lambda env: 0)
     monkeypatch.setattr(cli.bn, "expected_dim_or_error", kernel)
     monkeypatch.setattr(cli, "render", lambda *args, **kwargs: "")
     argv = ["sweep", "--g", "0:400", "--r", "1:20", "--d", "1:20", "--mu", "2^r,1^(d-2*r)", "--f", "span=r-1",
@@ -984,6 +985,22 @@ def test_sweep_requires_f_for_dim(capsys):
 # ---------------------------------------------------------------------------
 # output encodings carry identical records
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2"],
+    ["dim", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2", "--f", "1"],
+    ["empty", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2", "--f", "1"],
+    ["plucker", "--g", "1", "--r", "2", "--d", "4"],
+    ["identity", "--samples", "5"],
+    ["sweep", "--g", "0:1", "--r", "1", "--d", "2", "--mu", "1,1"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_takes_format_with_plain_as_default(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--format", "xml"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert run(argv, capsys) == run([*argv, "--format", "plain"], capsys)
 
 
 def csv_records(text):
