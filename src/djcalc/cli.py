@@ -84,6 +84,22 @@ MAX_COUNT_WORK = 150_000_000
 # The most samples `identity` draws: well under a second of proof_identity calls.
 MAX_SAMPLES = 100_000
 
+# The most digits an integer literal of an expression or a range may have,
+# checked before int(): the interpreter's default bound on converting a
+# string, so no literal that it converts is refused, and a longer one gets a
+# message that names the expression instead of the interpreter's.
+MAX_LITERAL_DIGITS = 4300
+
+
+def _int_literal(tok: str, text: str) -> int:
+    """int(tok), for a literal of expression or range `text`; refuses more
+    than MAX_LITERAL_DIGITS digits before converting."""
+    if len(tok) > MAX_LITERAL_DIGITS:
+        digits = sum(map(str.isdecimal, tok))  # int() also reads a sign, blanks and underscores
+        if digits > MAX_LITERAL_DIGITS:
+            raise ValueError(f"a literal takes at most {MAX_LITERAL_DIGITS} digits, got {digits} in {text!r}")
+    return int(tok)
+
 
 def compile_int_expr(
     text: str, names: Container[str]
@@ -128,7 +144,7 @@ def compile_int_expr(
             return value
         take()
         if tok.isdecimal():
-            return int(tok)
+            return _int_literal(tok, text)
         if tok in names:
             reads.add(tok)
             return itemgetter(tok)
@@ -287,9 +303,9 @@ def parse_range(text: str) -> range:
     """Inclusive integer interval 'lo:hi', or a single value 'n'."""
     if ":" in text:
         lo_text, hi_text = text.split(":", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = _int_literal(lo_text, text), _int_literal(hi_text, text)
     else:
-        lo = hi = int(text)
+        lo = hi = _int_literal(text, text)
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
@@ -567,64 +583,81 @@ def render(records, fmt: str, command: str, what: str) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_SERIES = tuple((name, {"type": int, "required": True}) for name in ("--g", "--r", "--d"))
+
+# Each subcommand's help text, its options in the order its help lists them
+# (--format follows, last), and its defaults.
+SUBCOMMANDS = {
+    "count": (
+        "contact-divisor count via both evaluation paths",
+        (*_SERIES, ("--mu", {"required": True, "help": "partition, e.g. '2,2' or '2^3,1^2'"})),
+        {"f": None, "what": "count"},
+    ),
+    "dim": (
+        "expected dimension of the universal secant locus",
+        (*_SERIES, ("--mu", {"required": True}),
+         ("--f", {"required": True, "help": "rank deficiency: integer, expression, or 'span=<s>'"})),
+        {"what": "dim"},
+    ),
+    "empty": (
+        "is the secant locus empty for every series on a general curve?",
+        (*_SERIES, ("--mu", {"required": True}), ("--f", {"required": True})),
+        {"what": "empty"},
+    ),
+    "plucker": ("simple-ramification count against the closed-form total", _SERIES, {"what": "plucker"}),
+    "identity": (
+        "randomized check of the dimension-count identity",
+        (("--samples", {"type": int, "default": 1000}), ("--seed", {"type": int, "default": 0}),
+         ("--lo", {"type": int, "default": -5}), ("--hi", {"type": int, "default": 20})),
+        {"what": "identity"},
+    ),
+    "sweep": (
+        "evaluate a grid of (g, r, d) cells in fixed order",
+        (("--g", {"required": True, "help": "inclusive range 'lo:hi' or single value"}),
+         ("--r", {"required": True}), ("--d", {"required": True}),
+         ("--mu", {"required": True, "help": "partition pattern, e.g. '2^r,1^(d-2*r)'"}),
+         ("--f", {"help": "required for --what dim/empty"}),
+         ("--what", {"choices": ("count", "dim", "empty"), "default": "count"})),
+        {},
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The djcalc parser.  Only the subcommand named by `command`, or every
+    one when it is None, gets -h, its options and --format; the others are
+    registered by name and help text alone, which is all that the top-level
+    usage, help and error messages read.  Setting up every subcommand's
+    options costs most of a one-cell request."""
     parser = argparse.ArgumentParser(
         prog="djcalc",
         description="Exact counts and dimension predicates for contact divisors in linear series on curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    series = argparse.ArgumentParser(add_help=False)
-    for name in ("--g", "--r", "--d"):
-        series.add_argument(name, type=int, required=True)
-
-    p = sub.add_parser("count", parents=[series], help="contact-divisor count via both evaluation paths")
-    p.add_argument("--mu", required=True, help="partition, e.g. '2,2' or '2^3,1^2'")
-    p.set_defaults(f=None, what="count")
-
-    p = sub.add_parser("dim", parents=[series], help="expected dimension of the universal secant locus")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--f", required=True, help="rank deficiency: integer, expression, or 'span=<s>'")
-    p.set_defaults(what="dim")
-
-    p = sub.add_parser(
-        "empty", parents=[series], help="is the secant locus empty for every series on a general curve?"
-    )
-    p.add_argument("--mu", required=True)
-    p.add_argument("--f", required=True)
-    p.set_defaults(what="empty")
-
-    p = sub.add_parser("plucker", parents=[series], help="simple-ramification count against the closed-form total")
-    p.set_defaults(what="plucker")
-
-    p = sub.add_parser("identity", help="randomized check of the dimension-count identity")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lo", type=int, default=-5)
-    p.add_argument("--hi", type=int, default=20)
-    p.set_defaults(what="identity")
-
-    p = sub.add_parser("sweep", help="evaluate a grid of (g, r, d) cells in fixed order")
-    p.add_argument("--g", required=True, help="inclusive range 'lo:hi' or single value")
-    p.add_argument("--r", required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--mu", required=True, help="partition pattern, e.g. '2^r,1^(d-2*r)'")
-    p.add_argument("--f", help="required for --what dim/empty")
-    p.add_argument("--what", choices=("count", "dim", "empty"), default="count")
-
-    for p in sub.choices.values():  # last, so that it is each subcommand's last option
-        p.add_argument("--format", choices=FORMATS, default="plain")
+    for name, (help_text, options, defaults) in SUBCOMMANDS.items():
+        built = command is None or command == name
+        p = sub.add_parser(name, help=help_text, add_help=built)
+        if built:
+            for option, kwargs in options:
+                p.add_argument(option, **kwargs)
+            p.add_argument("--format", choices=FORMATS, default="plain")
+            p.set_defaults(**defaults)
     return parser
 
 
-def run(argv) -> tuple[int, str]:
-    """Execute one parsed request: returns (exit code, serialized output).
+def run(argv=None) -> tuple[int, str]:
+    """Execute one parsed request (`sys.argv[1:]` when `argv` is None):
+    returns (exit code, serialized output).
 
     Validation problems raise ValueError; cross-check failures return exit
     code 3 with the offending record still present in the output.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser has no option but -h, so a request whose first
+    # word names a subcommand reaches that subparser and no other one.
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     if args.command == "sweep" and args.what in ("dim", "empty") and args.f is None:
         raise ValueError("--f is required for --what dim/empty")
     records, code = COMMANDS[args.command](args)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from djcalc import cli, dejonq, lls
+from djcalc import bn, cli, dejonq, lls
 from djcalc.dejonq import CountResult
 from djcalc.errors import IntegralityError
 from djcalc.exact import Partition
@@ -117,6 +117,38 @@ def test_eval_int_expr_nesting_limit():
     for text in ("(" * depth + "r" + ")" * depth, "-" * depth + "r"):
         with pytest.raises(ValueError, match="nests deeper than"):
             evaluate(text, env)
+
+
+def test_literal_digit_bound():
+    # the interpreter's default bound on int() of a string, so that every literal it parses is admitted
+    assert cli.MAX_LITERAL_DIGITS == 4300
+    at, past = "7" * cli.MAX_LITERAL_DIGITS, "7" * (cli.MAX_LITERAL_DIGITS + 1)
+    assert evaluate(f"{at}-{at}+r", {"r": 2}) == 2
+    assert list(cli.parse_range(f"-{at}:-{at}")) == [-int(at)]
+    assert list(cli.parse_range(f"{at[1:]}_7")) == [int(at)]  # an underscore is no digit
+    message = f"a literal takes at most {cli.MAX_LITERAL_DIGITS} digits, got {cli.MAX_LITERAL_DIGITS + 1} in"
+    for text in (f"r+{past}", f"-{past}"):
+        with pytest.raises(ValueError) as info:
+            evaluate(text, {"r": 2})
+        assert str(info.value) == f"{message} {text!r}"
+    for text in (past, f"0:{past}", f"-{past}:0"):
+        with pytest.raises(ValueError) as info:
+            cli.parse_range(text)
+        assert str(info.value) == f"{message} {text!r}"
+
+
+def test_long_literals_exit_2_naming_the_bound(capsys):
+    at, past = "1" * cli.MAX_LITERAL_DIGITS, "1" * (cli.MAX_LITERAL_DIGITS + 1)
+    cell = ["--g", "1", "--r", "1", "--d", "2"]
+    expected = run(["dim", *cell, "--mu", "2", "--f", "1"], capsys)
+    assert run(["dim", *cell, "--mu", f"{at}-{at}+2", "--f", "1"], capsys) == expected
+    assert run(["dim", *cell, "--mu", "2", "--f", f"{at}-{at}+1"], capsys) == expected
+    for argv in (["dim", *cell, "--mu", past, "--f", "0"], ["dim", *cell, "--mu", "2", "--f", f"span={past}"],
+                 ["sweep", "--g", f"0:{past}", "--r", "1", "--d", "2", "--mu", "2"]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: a literal takes at most {cli.MAX_LITERAL_DIGITS} digits, got ")
+        assert "set_int_max_str_digits" not in err
 
 
 def test_deep_nesting_exits_2(capsys):
@@ -672,6 +704,20 @@ def test_count_error_decides_which_counts_run(g, r, d, parts):
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(["count", f"--g={g}", f"--r={r}", f"--d={d}", "--mu", ",".join(map(str, parts)) or "1^0"])
         assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {error}\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.lists(st.integers(1, 6), min_size=1, max_size=8))
+def test_count_verdict_is_possible_exactly_when_rho_is_nonnegative(g, parts):
+    # the cells count_error admits have |mu| = d and len(mu) = d - r, where
+    # the dimension at f = d - r reduces to rho: a count is never marked empty
+    d = sum(parts)
+    r = d - len(parts)
+    assert dejonq.count_error(g, r, d, len(parts), d) is None
+    code, out = cli.run(["count", f"--g={g}", f"--r={r}", f"--d={d}", "--mu", ",".join(map(str, parts)),
+                         "--format", "json"])
+    expected = "possible" if r >= 1 and d >= 1 and bn.rho_raw(g, r, d) >= 0 else None
+    assert (code, json.loads(out)["verdict"]) == (0, expected)
 
 
 def test_count_work_limit_admits_the_large_count_sweep(monkeypatch):

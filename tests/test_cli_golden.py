@@ -5,6 +5,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,45 @@ def test_cli_corpus_replays_byte_identically():
 )
 def test_cli_corpus_argparse_output_replays_byte_identically():
     replay(argparse_exit=True)
+
+
+# ---------------------------------------------------------------------------
+# the per-command parser answers as the full parser does, on every Python
+# ---------------------------------------------------------------------------
+
+# The corpus's argparse entries (help, usage and option errors of every
+# subcommand), and requests whose last word names another subcommand.
+PARSER_ARGV = [entry["argv"] for entry in GOLDEN["entries"] if entry["argparse"]] + [
+    ["sweep", "--g", "0", "--r", "1", "--d", "2", "--mu", "2", "--what", "count"],
+    ["sweep", "--g", "0", "--r", "1", "--d", "2", "--mu", "2", "--f", "0", "--what", "dim"],
+    ["identity", "--samples", "1", "plucker"],
+    ["--", "count", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2"],
+]
+
+# What the console script passes: main(None) reads sys.argv.
+SYS_ARGV = [[], ["--help"], ["bogus"], ["count", "--help"]]
+
+
+def test_per_command_parser_answers_as_the_full_parser(monkeypatch):
+    build_parser = cli.build_parser
+    built = []
+
+    def recording(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    def from_sys_argv(argv):
+        with patch.object(sys, "argv", ["djcalc", *argv]):
+            return {**capture(None), "argv": argv}
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    per_command = [capture(argv) for argv in PARSER_ARGV] + [from_sys_argv(argv) for argv in SYS_ARGV]
+    assert built == [argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None for argv in PARSER_ARGV + SYS_ARGV]
+
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser(None))
+    full = [capture(argv) for argv in PARSER_ARGV + SYS_ARGV]
+    assert per_command == full
+    assert [entry["code"] for entry in full[-4:]] == [2, 0, 2, 0]
 
 
 # ---------------------------------------------------------------------------
