@@ -84,20 +84,20 @@ MAX_COUNT_WORK = 150_000_000
 # The most samples `identity` draws: well under a second of proof_identity calls.
 MAX_SAMPLES = 100_000
 
-# The most digits an integer literal of an expression or a range may have,
-# checked before int(): the interpreter's default bound on converting a
-# string, so no literal that it converts is refused, and a longer one gets a
-# message that names the expression instead of the interpreter's.
+# The most digits an integer literal of an expression, a range or an integer
+# option may have, checked before int(): the interpreter's default bound on
+# converting a string, so no literal that it converts is refused, and a
+# longer one gets a message that names the text instead of the interpreter's.
 MAX_LITERAL_DIGITS = 4300
 
 
-def _int_literal(tok: str, text: str) -> int:
-    """int(tok), for a literal of expression or range `text`; refuses more
-    than MAX_LITERAL_DIGITS digits before converting."""
+def _int_literal(tok: str, text: str, error: type[Exception] = ValueError) -> int:
+    """int(tok), for a literal of expression, range or option `text`; refuses
+    more than MAX_LITERAL_DIGITS digits with `error` before converting."""
     if len(tok) > MAX_LITERAL_DIGITS:
         digits = sum(map(str.isdecimal, tok))  # int() also reads a sign, blanks and underscores
         if digits > MAX_LITERAL_DIGITS:
-            raise ValueError(f"a literal takes at most {MAX_LITERAL_DIGITS} digits, got {digits} in {text!r}")
+            raise error(f"a literal takes at most {MAX_LITERAL_DIGITS} digits, got {digits} in {text!r}")
     return int(tok)
 
 
@@ -315,16 +315,8 @@ def parse_range(text: str) -> range:
 # records
 # ---------------------------------------------------------------------------
 
-# The input keys of each command's records, in order; a sweep's records
-# have the keys of its --what.  After the input values a record holds the
-# FIELDS, with paths a tuple of strings.
-KEYS = {
-    "count": ("g", "r", "d", "mu"),
-    "dim": ("g", "r", "d", "mu", "f"),
-    "empty": ("g", "r", "d", "mu", "f"),
-    "plucker": ("g", "r", "d"),
-    "identity": ("samples", "seed", "lo", "hi"),
-}
+# After a record's input values (see KEYS) come these fields, with paths a
+# tuple of strings.
 FIELDS = ("result", "paths", "cross_check_delta", "status", "verdict")
 
 
@@ -444,7 +436,7 @@ def _cmd_cells(args):
 
 def _cmd_plucker(args):
     g, r, d = args.g, args.r, args.d
-    if r >= 1 and g >= 0 and d >= r + 1:  # otherwise the count's own precondition names the fault
+    if dejonq.ramification_error(g, r, d) is None:  # otherwise the count raises it, uncharged
         _charge(0, g, r, d, d - r)  # the count has mu = (r+1, 1^(d-r-1))
     record, code = _cross_check(  # the closed form is the result, the count its check
         (g, r, d), ("coefficient", "closed_form"),
@@ -482,16 +474,6 @@ def _cmd_identity(args):
         f"{failures} tuples violate the identity",
     )
     return [record], code
-
-
-COMMANDS = {
-    "count": _cmd_cells,
-    "dim": _cmd_cells,
-    "empty": _cmd_cells,
-    "plucker": _cmd_plucker,
-    "identity": _cmd_identity,
-    "sweep": _cmd_cells,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -583,44 +565,52 @@ def render(records, fmt: str, command: str, what: str) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-_SERIES = tuple((name, {"type": int, "required": True}) for name in ("--g", "--r", "--d"))
+def _int_option(text: str) -> int:
+    """An integer option, read as a range bound is.  argparse prints the digit
+    bound's ArgumentTypeError as it stands, and names this type in its own
+    `invalid int value` message."""
+    return _int_literal(text, text, argparse.ArgumentTypeError)
 
-# Each subcommand's help text, its options in the order its help lists them
-# (--format follows, last), and its defaults.
+
+_int_option.__name__ = "int"
+
+_SERIES = tuple((name, {"type": _int_option, "required": True}) for name in ("--g", "--r", "--d"))
+
+# Each subcommand's handler, which returns (records, exit code), its help
+# text, and its options in the order its help lists them (--format follows,
+# last).
 SUBCOMMANDS = {
     "count": (
-        "contact-divisor count via both evaluation paths",
+        _cmd_cells, "contact-divisor count via both evaluation paths",
         (*_SERIES, ("--mu", {"required": True, "help": "partition, e.g. '2,2' or '2^3,1^2'"})),
-        {"f": None, "what": "count"},
     ),
     "dim": (
-        "expected dimension of the universal secant locus",
+        _cmd_cells, "expected dimension of the universal secant locus",
         (*_SERIES, ("--mu", {"required": True}),
          ("--f", {"required": True, "help": "rank deficiency: integer, expression, or 'span=<s>'"})),
-        {"what": "dim"},
     ),
     "empty": (
-        "is the secant locus empty for every series on a general curve?",
+        _cmd_cells, "is the secant locus empty for every series on a general curve?",
         (*_SERIES, ("--mu", {"required": True}), ("--f", {"required": True})),
-        {"what": "empty"},
     ),
-    "plucker": ("simple-ramification count against the closed-form total", _SERIES, {"what": "plucker"}),
+    "plucker": (_cmd_plucker, "simple-ramification count against the closed-form total", _SERIES),
     "identity": (
-        "randomized check of the dimension-count identity",
-        (("--samples", {"type": int, "default": 1000}), ("--seed", {"type": int, "default": 0}),
-         ("--lo", {"type": int, "default": -5}), ("--hi", {"type": int, "default": 20})),
-        {"what": "identity"},
+        _cmd_identity, "randomized check of the dimension-count identity",
+        (("--samples", {"type": _int_option, "default": 1000}), ("--seed", {"type": _int_option, "default": 0}),
+         ("--lo", {"type": _int_option, "default": -5}), ("--hi", {"type": _int_option, "default": 20})),
     ),
     "sweep": (
-        "evaluate a grid of (g, r, d) cells in fixed order",
+        _cmd_cells, "evaluate a grid of (g, r, d) cells in fixed order",
         (("--g", {"required": True, "help": "inclusive range 'lo:hi' or single value"}),
          ("--r", {"required": True}), ("--d", {"required": True}),
          ("--mu", {"required": True, "help": "partition pattern, e.g. '2^r,1^(d-2*r)'"}),
          ("--f", {"help": "required for --what dim/empty"}),
          ("--what", {"choices": ("count", "dim", "empty"), "default": "count"})),
-        {},
     ),
 }
+
+# The input keys of each command's records, in order, are its option names; a sweep's are those of its --what.
+KEYS = {name: tuple(option[2:] for option, _ in row[2]) for name, row in SUBCOMMANDS.items() if name != "sweep"}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -634,14 +624,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Exact counts and dimension predicates for contact divisors in linear series on curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options, defaults) in SUBCOMMANDS.items():
+    for name, (_, help_text, options) in SUBCOMMANDS.items():
         built = command is None or command == name
         p = sub.add_parser(name, help=help_text, add_help=built)
         if built:
+            p.set_defaults(what=name, f=None)  # before the options: sweep's --what keeps its default, count has no --f
             for option, kwargs in options:
                 p.add_argument(option, **kwargs)
             p.add_argument("--format", choices=FORMATS, default="plain")
-            p.set_defaults(**defaults)
     return parser
 
 
@@ -660,7 +650,7 @@ def run(argv=None) -> tuple[int, str]:
     args = build_parser(command).parse_args(argv)
     if args.command == "sweep" and args.what in ("dim", "empty") and args.f is None:
         raise ValueError("--f is required for --what dim/empty")
-    records, code = COMMANDS[args.command](args)
+    records, code = SUBCOMMANDS[args.command][0](args)
     return code, render(records, args.format, args.command, args.what)
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "double_point_count",
     "plucker_total",
     "ramification_count_check",
+    "ramification_error",
     "tangential_trisecant_count",
     "odd_theta_count",
 ]
@@ -171,15 +172,23 @@ def plucker_total(g: int, r: int, d: int) -> int:
     return (r + 1) * d + (r + 1) * r * (g - 1)
 
 
+def ramification_error(g: int, r: int, d: int) -> ContractViolation | None:
+    """The first failed precondition of ramification_count_check, unraised, or
+    None: r >= 1, as the total holds for a series, d >= r + 1, then the count's."""
+    if r < 1:
+        return ContractViolation(f"ramification_count_check requires r >= 1, got r={r}")
+    if d < r + 1:
+        return ContractViolation(f"ramification_count_check requires d >= r+1, got d={d}, r={r}")
+    return count_error(g, r, d, d - r, d)
+
+
 def ramification_count_check(g: int, r: int, d: int) -> tuple[int, int]:
     """The simple-ramification count both ways: the contact-divisor count for
     mu = (r+1, 1^(d-r-1)) next to the closed-form total.  The entries agree.
-    The total holds for a series, so r >= 1.
     """
-    if r < 1:
-        raise ContractViolation(f"ramification_count_check requires r >= 1, got r={r}")
-    if d < r + 1:
-        raise ContractViolation(f"ramification_count_check requires d >= r+1, got d={d}, r={r}")
+    error = ramification_error(g, r, d)
+    if error is not None:
+        raise error
     mu = Partition((r + 1,) + (1,) * (d - r - 1))
     return dj_count(g, r, d, mu).value, plucker_total(g, r, d)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from djcalc import bn, cli, dejonq, lls
 from djcalc.dejonq import CountResult
-from djcalc.errors import IntegralityError
+from djcalc.errors import ContractViolation, IntegralityError
 from djcalc.exact import Partition
 
 
@@ -149,6 +149,35 @@ def test_long_literals_exit_2_naming_the_bound(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: a literal takes at most {cli.MAX_LITERAL_DIGITS} digits, got ")
         assert "set_int_max_str_digits" not in err
+
+
+# Each integer option, with a request in which the option's value is read.
+INT_OPTIONS = [
+    (argv, option)
+    for argv in (["count", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2"],
+                 ["dim", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2", "--f", "2"],
+                 ["empty", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2", "--f", "2"],
+                 ["plucker", "--g", "3", "--r", "2", "--d", "4"])
+    for option in ("--g", "--r", "--d")
+] + [(["identity", "--samples", "1"], option) for option in ("--samples", "--seed", "--lo", "--hi")]
+
+
+@pytest.mark.parametrize("argv, option", INT_OPTIONS, ids=[f"{argv[0]}{option}" for argv, option in INT_OPTIONS])
+def test_integer_options_take_the_literal_digit_bound(capsys, argv, option):
+    bound = cli.MAX_LITERAL_DIGITS
+    at, past = "1" * bound, "1" * (bound + 1)
+    assert getattr(cli.build_parser(argv[0]).parse_args([*argv, option, at]), option[2:]) == int(at)
+    assert cli.main([*argv, option, at]) in (0, 2)  # the value reaches the command, which may refuse it
+    assert "a literal takes" not in capsys.readouterr().err
+    for value, message in (
+        (past, f"a literal takes at most {bound} digits, got {bound + 1} in {past!r}"),
+        ("x", "invalid int value: 'x'"),  # argparse's own message, as for type=int
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, option, value])
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        assert err.endswith(f"\ndjcalc {argv[0]}: error: argument {option}: {message}\n")
 
 
 def test_deep_nesting_exits_2(capsys):
@@ -707,6 +736,31 @@ def test_count_error_decides_which_counts_run(g, r, d, parts):
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 12), st.integers(-3, 8), st.integers(-3, 20))
+def test_ramification_error_decides_which_plucker_counts_run(g, r, d):
+    error = dejonq.ramification_error(g, r, d)
+    checked = outcome(dejonq.ramification_count_check, g, r, d)
+    assert (error is None) == (checked[0] == "value")
+    if error is not None:
+        assert checked == ("error", type(error), str(error))  # ramification_count_check raises it
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["plucker", f"--g={g}", f"--r={r}", f"--d={d}"])
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {error}\n")
+
+
+def test_ramification_error_order():
+    # r >= 1, then d >= r + 1, then count_error: each named while the later ones fail too
+    for (g, r, d), message in (
+        ((-1, 0, 0), "ramification_count_check requires r >= 1, got r=0"),
+        ((-1, 1, 1), "ramification_count_check requires d >= r+1, got d=1, r=1"),
+        ((-1, 1, 2), "coefficient_count requires g >= 0, got g=-1"),
+    ):
+        assert outcome(dejonq.ramification_error, g, r, d) == ("error", ContractViolation, message)
+    assert dejonq.ramification_error(0, 1, 2) is None
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.integers(0, 40), st.lists(st.integers(1, 6), min_size=1, max_size=8))
 def test_count_verdict_is_possible_exactly_when_rho_is_nonnegative(g, parts):
     # the cells count_error admits have |mu| = d and len(mu) = d - r, where
@@ -787,6 +841,22 @@ INTEGRALITY = {
     "result": None, "cross_check_delta": None,
     "status": "integrality violation: 2 does not divide 57", "verdict": None,
 }
+
+
+def test_a_symmetry_factor_that_does_not_divide_the_count_is_an_integrality_violation(capsys, monkeypatch):
+    # the ordered count at g=3, r=2, d=4, mu=(2,2) is 56, which 5 does not divide
+    monkeypatch.setattr(Partition, "symmetry_factor", property(lambda mu: 5))
+    message = "symmetry factor 5 does not divide ordered count 56 for g=3, r=2, d=4, mu=(2,2)"
+    for path in ("coefficient", "bracket"):
+        with pytest.raises(IntegralityError) as info:
+            dejonq.dj_count(3, 2, 4, Partition([2, 2]), path=path)
+        assert str(info.value) == message
+    code, out = run(COUNT_ARGV, capsys)
+    assert (code, out) == (3, f"g=3 r=2 d=4 mu=2,2 result= paths=bracket+coefficient delta="
+                              f" status=integrality violation: {message} verdict=\n")
+    with pytest.raises(ContractViolation) as info:
+        dejonq.bracket(Partition([1]), -1)
+    assert str(info.value) == "bracket requires g >= 0, got g=-1"
 
 
 @pytest.mark.parametrize("argv, patch, record, plain", [
@@ -1153,7 +1223,7 @@ def test_every_record_is_its_input_values_and_five_fields(monkeypatch, argv, pat
     if patch is not None:
         patch(monkeypatch)
     args = cli.build_parser().parse_args(argv)
-    records, _ = cli.COMMANDS[args.command](args)
+    records, _ = cli.SUBCOMMANDS[args.command][0](args)
     assert {record[-2].split(":")[0] for record in records} == statuses
     keys = INPUT_KEYS[args.what]  # a sweep's --what, else the command
     assert {(type(record), len(record)) for record in records} == {(tuple, len(keys) + 5)}
