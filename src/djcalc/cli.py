@@ -614,20 +614,23 @@ KEYS = {name: tuple(option[2:] for option, _ in row[2]) for name, row in SUBCOMM
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The djcalc parser.  Only the subcommand named by `command`, or every
-    one when it is None, gets -h, its options and --format; the others are
-    registered by name and help text alone, which is all that the top-level
-    usage, help and error messages read.  Setting up every subcommand's
-    options costs most of a one-cell request."""
+    """The djcalc parser: every subcommand when `command` is None, else only
+    the one it names, under a metavar that names all six so that the
+    top-level usage line reads as the full parser's.  Setting up the other
+    subcommands would cost most of a one-cell request.  No parser reads an
+    abbreviated option."""
     parser = argparse.ArgumentParser(
         prog="djcalc",
         description="Exact counts and dimension predicates for contact divisors in linear series on curves.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Unset on the full parser: argparse also names the action by its
+    # metavar, in `argument command: invalid choice`.
+    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (_, help_text, options) in SUBCOMMANDS.items():
-        built = command is None or command == name
-        p = sub.add_parser(name, help=help_text, add_help=built)
-        if built:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text, allow_abbrev=False)
             p.set_defaults(what=name, f=None)  # before the options: sweep's --what keeps its default, count has no --f
             for option, kwargs in options:
                 p.add_argument(option, **kwargs)
@@ -648,8 +651,10 @@ def run(argv=None) -> tuple[int, str]:
     # word names a subcommand reaches that subparser and no other one.
     command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     args = build_parser(command).parse_args(argv)
-    if args.command == "sweep" and args.what in ("dim", "empty") and args.f is None:
+    if args.command == "sweep" and args.what != "count" and args.f is None:
         raise ValueError("--f is required for --what dim/empty")
+    if args.command == "sweep" and args.what == "count" and args.f is not None:
+        raise ValueError("--f applies only to --what dim/empty")
     records, code = SUBCOMMANDS[args.command][0](args)
     return code, render(records, args.format, args.command, args.what)
 

@@ -972,8 +972,8 @@ def test_huge_sweep_exits_2_before_any_cell(capsys, monkeypatch):
     monkeypatch.setattr(dejonq, "count_error", unreachable)
     monkeypatch.setattr(cli.bn, "expected_dim_or_error", unreachable)
     for g, cells in (("0:1000000000", 10**9 + 1), ("0:100000000000000000000", 10**20 + 1)):
-        for what in ("dim", "count"):
-            argv = ["sweep", "--what", what, "--g", g, "--r", "1", "--d", "1", "--mu", "1", "--f", "0"]
+        for what, f in (("dim", ["--f", "0"]), ("count", [])):
+            argv = ["sweep", "--what", what, "--g", g, "--r", "1", "--d", "1", "--mu", "1", *f]
             assert cli.main(argv) == 2
             assert capsys.readouterr() == ("", f"error: a sweep takes at most {cli.MAX_CELLS} cells, got {cells}\n")
 
@@ -1096,6 +1096,28 @@ def test_skipped_count_cells_raise_nothing(message, g, rest):
 
 def test_sweep_requires_f_for_dim(capsys):
     assert cli.main(["sweep", "--g", "1", "--r", "2", "--d", "4", "--mu", "2,2", "--what", "dim"]) == 2
+
+
+def test_sweep_refuses_f_for_count(capsys):
+    assert cli.main(["sweep", "--what", "count", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2", "--f", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: --f applies only to --what dim/empty\n")
+
+
+# No option may be abbreviated: on count and plucker, which take no --f,
+# --f and --form are not read as --format.
+@pytest.mark.parametrize("argv, extra", [
+    (COUNT_ARGV, ["--f", "json"]),
+    (COUNT_ARGV, ["--f", "3"]),
+    (PLUCKER_ARGV, ["--form", "csv"]),
+    (["dim", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2", "--f", "1"], ["--form", "csv"]),
+])
+def test_abbreviated_options_exit_2(capsys, argv, extra):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, *extra])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "djcalc: error: unrecognized arguments: " + " ".join(extra)
 
 
 # ---------------------------------------------------------------------------

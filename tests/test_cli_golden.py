@@ -1,6 +1,7 @@
 """Replay of the golden command-line corpus (see cli_corpus.py), and the
 property that a sweep row is the single command's record of its cell."""
 
+import argparse
 import io
 import json
 import sys
@@ -43,14 +44,26 @@ def test_cli_corpus_argparse_output_replays_byte_identically():
 # the per-command parser answers as the full parser does, on every Python
 # ---------------------------------------------------------------------------
 
+# One valid request of each subcommand.
+ONE_REQUEST_EACH = [
+    ["count", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2"],
+    ["dim", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2", "--f", "2"],
+    ["empty", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2", "--f", "2"],
+    ["plucker", "--g", "1", "--r", "2", "--d", "4"],
+    ["identity", "--samples", "5"],
+    ["sweep", "--g", "0:1", "--r", "1", "--d", "2", "--mu", "1,1"],
+]
+
 # The corpus's argparse entries (help, usage and option errors of every
-# subcommand), and requests whose last word names another subcommand.
+# subcommand), requests whose last word names another subcommand, and each
+# subcommand's request with a trailing word that the top-level parser
+# refuses under its usage line.
 PARSER_ARGV = [entry["argv"] for entry in GOLDEN["entries"] if entry["argparse"]] + [
     ["sweep", "--g", "0", "--r", "1", "--d", "2", "--mu", "2", "--what", "count"],
     ["sweep", "--g", "0", "--r", "1", "--d", "2", "--mu", "2", "--f", "0", "--what", "dim"],
     ["identity", "--samples", "1", "plucker"],
     ["--", "count", "--g", "3", "--r", "2", "--d", "4", "--mu", "2,2"],
-]
+] + [[*argv, "extra"] for argv in ONE_REQUEST_EACH]
 
 # What the console script passes: main(None) reads sys.argv.
 SYS_ARGV = [[], ["--help"], ["bogus"], ["count", "--help"]]
@@ -76,6 +89,32 @@ def test_per_command_parser_answers_as_the_full_parser(monkeypatch):
     full = [capture(argv) for argv in PARSER_ARGV + SYS_ARGV]
     assert per_command == full
     assert [entry["code"] for entry in full[-4:]] == [2, 0, 2, 0]
+    assert "djcalc: error: argument command: invalid choice: 'bogus'" in full[-2]["stderr"]
+    refused = [(entry["code"], entry["stderr"]) for entry in full if entry["argv"][-1:] == ["extra"]]
+    assert refused == [(2, (
+        "usage: djcalc [-h] {count,dim,empty,plucker,identity,sweep} ...\n"
+        "djcalc: error: unrecognized arguments: extra\n"
+    ))] * len(ONE_REQUEST_EACH)
+
+
+def test_a_request_builds_only_its_own_subcommand_parser(monkeypatch):
+    init = argparse.ArgumentParser.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    per_request = []
+    for argv in ONE_REQUEST_EACH:
+        built.clear()
+        assert cli.run(argv)[0] == 0
+        per_request.append(len(built))
+    assert per_request == [2] * len(cli.SUBCOMMANDS)  # the top level and the request's subcommand
+    built.clear()
+    cli.build_parser(None)
+    assert len(built) == 1 + len(cli.SUBCOMMANDS)
 
 
 # ---------------------------------------------------------------------------
