@@ -90,6 +90,11 @@ MAX_SAMPLES = 100_000
 # longer one gets a message that names the text instead of the interpreter's.
 MAX_LITERAL_DIGITS = 4300
 
+# The least integer of more than MAX_LITERAL_DIGITS digits.  A part or an f
+# value of a cell takes the same bound, so that no record holds a number its
+# format cannot write.
+_TOO_LONG = 10**MAX_LITERAL_DIGITS
+
 
 def _int_literal(tok: str, text: str, error: type[Exception] = ValueError) -> int:
     """int(tok), for a literal of expression, range or option `text`; refuses
@@ -213,10 +218,11 @@ def compile_partition_spec(
     function of env that returns the partition and its record text, or the
     ValueError of the first failed check, unraised.  Bases and exponents may
     be expressions in the variables in `names` (e.g. '2^r,1^(d-2*r)').  Zero
-    exponents drop the part; negative exponents, non-positive parts and
-    specs of more than MAX_PARTS parts are rejected.  A compile error in an
-    item is returned only when evaluation reaches that item, so the earlier
-    items' checks come first, item by item.
+    exponents drop the part; negative exponents, non-positive parts, parts of
+    more than MAX_LITERAL_DIGITS digits and specs of more than MAX_PARTS
+    parts are rejected.  A compile error in an item is returned only when
+    evaluation reaches that item, so the earlier items' checks come first,
+    item by item.
 
     `grid` maps each name to the values it takes over one request.  When a
     name the spec does not read takes more than one, the values of the names
@@ -256,6 +262,8 @@ def compile_partition_spec(
                 return ValueError(f"partition item {item!r} has negative multiplicity {exp}")
             if exp > 0 and base < 1:
                 return ValueError(f"partition item {item!r} has non-positive part {base}")
+            if exp > 0 and base >= _TOO_LONG:
+                return ValueError(f"partition item {item!r} has a part of more than {MAX_LITERAL_DIGITS} digits")
             if len(parts) + exp > MAX_PARTS:
                 return ValueError(f"partition item {item!r} takes the partition past {MAX_PARTS} parts")
             parts.extend([base] * exp)
@@ -288,15 +296,22 @@ def compile_f_spec(spec: str, names: Iterable[str]) -> Callable[[dict[str, int]]
     """Compile an f spec into a function of an env that binds `names` (e.g.
     g, r, d) and e and s, the length and the sum of the cell's partition: an
     integer expression over those names, or 'span=<expr>' for
-    f = s - span - 1.  A compile error is returned, unraised, when the
-    function is called."""
+    f = s - span - 1.  A compile error, or a value of more than
+    MAX_LITERAL_DIGITS digits, is returned, unraised, when the function is
+    called."""
     span = spec.startswith("span=")
     try:
         value_of, _ = compile_int_expr(spec[len("span="):] if span else spec, {*names, "e", "s"})
     except ValueError as exc:
         compile_error = exc.with_traceback(None)
         return lambda env: compile_error
-    return (lambda env: env["s"] - value_of(env) - 1) if span else value_of
+
+    def f(env: dict[str, int]) -> int | ValueError:
+        value = env["s"] - value_of(env) - 1 if span else value_of(env)
+        if -_TOO_LONG < value < _TOO_LONG:
+            return value
+        return ValueError(f"f spec {spec!r} gives a value of more than {MAX_LITERAL_DIGITS} digits")
+    return f
 
 
 def parse_range(text: str) -> range:
@@ -322,10 +337,6 @@ FIELDS = ("result", "paths", "cross_check_delta", "status", "verdict")
 
 def _mu_text(mu: Partition) -> str:
     return ",".join(str(a) for a in mu.parts)
-
-
-def _verdict(dim: int) -> str:
-    return "empty" if dim < 0 else "possible"
 
 
 def _charge(work: int, g: int, r: int, d: int, e: int) -> int:
@@ -357,13 +368,15 @@ def _cross_check(
 
 
 def _count_record(g: int, r: int, d: int, mu: Partition, mu_text: str):
-    # the dimension theorem at f = d - r gives the verdict, when its hypotheses hold
-    dim = bn.expected_dim_or_error(g, r, d, mu.length, mu.total, d - r)
+    # The verdict is the dimension theorem's at f = d - r, where for a counted
+    # partition (|mu| = d, len(mu) = d - r) the dimension is rho: "possible"
+    # when the theorem's hypotheses hold, never "empty".
+    verdict = "possible" if r >= 1 and d >= 1 and bn.rho_raw(g, r, d) >= 0 else None
     return _cross_check(
         (g, r, d, mu_text), ("bracket", "coefficient"),
         lambda: (dejonq.dj_count(g, r, d, mu, path="coefficient").value,
                  dejonq.dj_count(g, r, d, mu, path="bracket").value),
-        "bracket and coefficient paths disagree", None if isinstance(dim, ValueError) else _verdict(dim),
+        "bracket and coefficient paths disagree", verdict,
     )
 
 
@@ -387,50 +400,53 @@ def _cmd_cells(args):
     else:
         grid = ((args.g,), (args.r,), (args.d,))
     what, names = args.what, ("g", "r", "d")
-    count = what == "count"
-    mu_of = compile_partition_spec(args.mu, names, dict(zip(names, grid)))
-    f_of = None if count else compile_f_spec(args.f, names)
+    count, is_dim = what == "count", what == "dim"
+    mu_spec, f_spec = args.mu, args.f
+    mu_of = compile_partition_spec(mu_spec, names, dict(zip(names, grid)))
+    f_of = None if count else compile_f_spec(f_spec, names)
     records = []
+    append = records.append
     code = text = work = 0
     for g, r, d in itertools.product(*grid):
         env = {"g": g, "r": r, "d": d}
-        mu_text, f = args.mu, args.f
         entry = mu_of(env)
         if isinstance(entry, ValueError):
-            error = entry
-        elif count:
-            mu, mu_text = entry
-            error = dejonq.count_error(g, r, d, mu.length, mu.total)
-            if error is None:
-                work = _charge(work, g, r, d, mu.length)
-                record, cell_code = _count_record(g, r, d, mu, mu_text)
+            error, mu_text, f = entry, mu_spec, f_spec
         else:
             mu, mu_text = entry
-            env["e"], env["s"] = mu.length, mu.total
-            value = f_of(env)
-            if isinstance(value, ValueError):
-                error = value
+            e, s = mu.length, mu.total
+            if count:
+                error = dejonq.count_error(g, r, d, e, s)
+                if error is None:
+                    work = _charge(work, g, r, d, e)
+                    record, cell_code = _count_record(g, r, d, mu, mu_text)
+                    code = max(code, cell_code)
             else:
-                f, dim = value, bn.expected_dim_or_error(g, r, d, mu.length, mu.total, value)
-                if isinstance(dim, ValueError):
-                    error = dim
+                env["e"], env["s"] = e, s
+                f = f_of(env)
+                if isinstance(f, ValueError):
+                    error, f = f, f_spec
                 else:
-                    error, cell_code = None, 0
-                    record = (g, r, d, mu_text, f, dim if what == "dim" else dim < 0, ("dimension",), None, "ok",
-                              _verdict(dim))
+                    dim = bn.expected_dim_or_error(g, r, d, e, s, f)
+                    if isinstance(dim, ValueError):
+                        error = dim
+                    else:
+                        error = None
+                        record = (g, r, d, mu_text, f, dim if is_dim else dim < 0, ("dimension",), None, "ok",
+                                  "empty" if dim < 0 else "possible")
         if error is not None:
             if not sweep:
                 raise error
-            inputs = (g, r, d, mu_text) if count else (g, r, d, mu_text, f)
-            record, cell_code = (*inputs, None, (), None, f"skipped: {error}", None), 0
+            status = f"skipped: {error}"
+            record = (g, r, d, mu_text, None, (), None, status, None) if count else (
+                g, r, d, mu_text, f, None, (), None, status, None)
         text += len(mu_text)
         if text > MAX_MU_TEXT:
             raise ValueError(
                 f"a request writes at most {MAX_MU_TEXT} characters of partition text,"
                 f" passed at g={g}, r={r}, d={d}"
             )
-        records.append(record)
-        code = max(code, cell_code)
+        append(record)
     return records, code
 
 
@@ -480,27 +496,51 @@ def _cmd_identity(args):
 # output
 # ---------------------------------------------------------------------------
 
-def _cell(value) -> str:
-    """A record field as plain and CSV write it; paths are joined with '+'."""
-    if value is None:
-        return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if type(value) is tuple:
-        return "+".join(value)
-    return str(value)
-
-
-# How json.dumps writes each leaf type of a record, all through C callables;
-# the lookup is by type, so 1 and True never meet.
+# How each format writes each leaf type of a record, all through C callables;
+# the lookup is by type, so 1 and True never meet.  Plain and CSV join paths
+# with '+'.
 _JSON_LEAF = {
     int: int.__repr__,
     str: encode_basestring_ascii,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
+_CELL = {
+    int: int.__repr__,
+    str: str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: ""}.__getitem__,
+    tuple: "+".join,
+}
+# The leaf types that %s, and csv, write as each format does.
+_JSON_AS_IS = frozenset({int})
+_CELL_AS_IS = frozenset({int, str})
+
+
+def _column(values: tuple, convert: Mapping[type, Callable], as_is: frozenset[type]) -> Iterable:
+    """A column of records as its format writes it: as it is when every type
+    in it is one of `as_is`, else each value through `convert` of its type.
+    A column of one type looks its conversion up once."""
+    types = set(map(type, values))
+    if types <= as_is:
+        return values
+    if len(types) == 1:
+        return map(convert[types.pop()], values)
+    return [convert[type(value)](value) for value in values]
+
+
+# Records are converted a block at a time, so that only one block's columns
+# are held at once.
+_BLOCK = 4096
+
+
+def _rows(records: list[tuple], convert: Mapping[type, Callable], as_is: frozenset[type]) -> Iterable[tuple]:
+    """The records as rows of what their format writes, converted column by
+    column (see `_column`) a block of records at a time."""
+    return itertools.chain.from_iterable(
+        zip(*[_column(values, convert, as_is) for values in zip(*records[start:start + _BLOCK])])
+        for start in range(0, len(records), _BLOCK)
+    )
 
 
 # Cached for good: 5 KEYS times 2 pads.
@@ -535,7 +575,8 @@ def render(records, fmt: str, command: str, what: str) -> str:
     of a placeholder record, once per process, and each record is written
     through that %-template, since the pure-Python encoder that json.dumps
     uses for indented output costs more than the cells; csv is a header and
-    a row per record, plain a line per record, both of `_cell`s."""
+    a row per record, plain a line per record, both of `_CELL` strings.
+    Records are converted column by column (see `_column`)."""
     keys = KEYS[what]
     if fmt == "plain" and what == "identity":
         record = records[0]
@@ -549,16 +590,21 @@ def render(records, fmt: str, command: str, what: str) -> str:
         pad = "  " if many else ""
         template = _json_record_template(keys, pad)
         leaf = {**_JSON_LEAF, tuple: _JsonLists(pad).__getitem__}
-        body = ",\n".join([template % tuple([leaf[type(value)](value) for value in record]) for record in records])
-        return f"[\n{body}\n]\n" if many else body + "\n"
+        texts = list(map(template.__mod__, _rows(records, leaf, _JSON_AS_IS)))
+        if many:  # the list's brackets, added to its ends so that the joined body is not copied again
+            texts[0] = "[\n" + texts[0]
+            texts[-1] += "\n]"
+        texts[-1] += "\n"
+        return ",\n".join(texts)
+    rows = _rows(records, _CELL, _CELL_AS_IS)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow((*keys, *FIELDS))
-        writer.writerows(map(_cell, record) for record in records)
+        writer.writerows(rows)
         return buf.getvalue()
-    line = " ".join(f"{key}=%s" for key in (*keys, "result", "paths", "delta", "status", "verdict"))
-    return "\n".join([line % tuple(map(_cell, record)) for record in records]) + "\n"
+    line = " ".join(f"{key}=%s" for key in (*keys, "result", "paths", "delta", "status", "verdict")) + "\n"
+    return "".join(map(line.__mod__, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import random
@@ -149,6 +150,33 @@ def test_long_literals_exit_2_naming_the_bound(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: a literal takes at most {cli.MAX_LITERAL_DIGITS} digits, got ")
         assert "set_int_max_str_digits" not in err
+
+
+def test_parts_and_f_values_take_the_literal_digit_bound(capsys):
+    nines = "9" * cli.MAX_LITERAL_DIGITS  # the largest value of at most MAX_LITERAL_DIGITS digits
+    part = f"partition item '2*g*{nines}+1' has a part of more than {cli.MAX_LITERAL_DIGITS} digits"
+    f = f"f spec 'g*{nines}*10+1' gives a value of more than {cli.MAX_LITERAL_DIGITS} digits"
+    # in a sweep the cell is skipped and the valid cells are still written
+    code, out = run(["sweep", "--what", "dim", "--g", "0:2", "--r", "1", "--d", "2", "--mu", f"2*g*{nines}+1,1",
+                     "--f", "1", "--format", "json"], capsys)
+    assert code == 0
+    assert [record["status"] for record in json.loads(out)] == ["ok", f"skipped: {part}", f"skipped: {part}"]
+    code, out = run(["sweep", "--what", "dim", "--g", "0:1", "--r", "1", "--d", "2", "--mu", "1,1",
+                     "--f", f"g*{nines}*10+1", "--format", "json"], capsys)
+    assert code == 0
+    assert [record["status"] for record in json.loads(out)] == ["ok", f"skipped: {f}"]
+    # a single command exits 2 with the same message
+    cell = ["--g", "1", "--r", "1", "--d", "2"]
+    for argv, message in ((["dim", *cell, "--mu", f"2*g*{nines}+1,1", "--f", "1"], part),
+                          (["empty", *cell, "--mu", "1,1", "--f", f"g*{nines}*10+1"], f),
+                          (["dim", *cell, "--mu", "1,1", f"--f=-{nines}-1"],
+                           f"f spec '-{nines}-1' gives a value of more than {cli.MAX_LITERAL_DIGITS} digits")):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # the bound itself is admitted
+    code, out = run(["sweep", "--what", "dim", *cell, "--mu", f"{nines},1", "--f", f"{nines}"], capsys)
+    assert code == 0 and out.startswith(f"g=1 r=1 d=2 mu={nines},1 f={nines} ")
+    assert f_value(f"-{nines}", {"g": 1, "r": 1, "d": 2}, Partition((1, 1))) == -int(nines)
 
 
 # Each integer option, with a request in which the option's value is read.
@@ -1286,6 +1314,19 @@ def test_json_output_keeps_the_int_conversion_limit():
     assert str(got.value) == str(expected.value)
 
 
+# Sweep results past the interpreter's 4,300-digit bound on int to str, in a
+# column of ints alone, which render passes as it is, and in a mixed one.
+@pytest.mark.parametrize("results", [[10**4999, -(10**4300), 10**4300], [None, 10**4300]])
+def test_json_output_keeps_the_int_conversion_limit_in_a_column(results):
+    keys = INPUT_KEYS["dim"]
+    records = [(0, 1, 2, "1,1", 1, result, (), None, "ok", None) for result in results]
+    with pytest.raises(ValueError) as expected:
+        json.dumps([as_object(keys, record) for record in records], indent=2)
+    with pytest.raises(ValueError) as got:
+        cli.render(records, "json", "sweep", "dim")
+    assert str(got.value) == str(expected.value)
+
+
 # Reference writers for the plain and CSV formats: a line or row per record,
 # built field by field.
 def _cell_oracle(value):
@@ -1346,3 +1387,52 @@ def test_plain_and_csv_output_match_the_reference_writers(command_records):
     assert cli.render(records, "csv", command, what) == csv_oracle(objects)
     if what != "identity":
         assert cli.render(records, "plain", command, what) == plain_oracle(objects)
+
+
+# Up to 20 records whose columns each hold one type of leaf, paths a tuple of
+# strings: render converts each such column with one map, or passes it as it
+# is, where the properties above mostly draw mixed columns.
+uniform_text = st.text(alphabet='"\\\n\r\t\x1f\x7f,=% é€😀ab')
+uniform_kinds = [
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2**64, max_value=2**300), st.integers(min_value=-(2**300), max_value=-(2**64)),
+    uniform_text,
+]
+
+
+def uniform_records(keys):
+    n = len(keys)
+    return st.tuples(*[st.sampled_from(uniform_kinds)] * (n + 3)).flatmap(lambda kinds: st.lists(st.tuples(
+        *kinds[:n + 1], st.lists(uniform_text, max_size=3).map(tuple), kinds[n + 1], uniform_text, kinds[n + 2],
+    ), min_size=1, max_size=20))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(COMMAND_KEYS).flatmap(lambda kcw: st.tuples(st.just(kcw), uniform_records(kcw[0]))))
+def test_single_type_columns_render_as_the_reference_writers(command_records):
+    (keys, command, what), records = command_records
+    objects = [as_object(keys, record) for record in records]
+    if command != "sweep":  # a single command writes its one record
+        records, objects = records[:1], objects[:1]
+    expected = json.dumps(objects if command == "sweep" else objects[0], indent=2) + "\n"
+    assert cli.render(records, "json", command, what) == expected
+    assert cli.render(records, "csv", command, what) == csv_oracle(objects)
+    if what != "identity":
+        assert cli.render(records, "plain", command, what) == plain_oracle(objects)
+
+
+def test_sweeps_render_as_the_reference_writers_block_by_block(monkeypatch):
+    # 168 records, in one block and in blocks of 5: the f, result and verdict
+    # columns are mixed over the sweep but of one type in some blocks
+    argv = ["sweep", "--what", "dim", "--g", "0:6", "--r", "1:3", "--d", "1:8", "--mu", "2^(r-1),1^(d-2*r)", "--f", "1"]
+    outputs = {fmt: cli.run([*argv, "--format", fmt]) for fmt in cli.FORMATS}
+    objects = json.loads(outputs["json"][1])
+    assert [tuple(record["inputs"].values())[:3] for record in objects] == list(
+        itertools.product(range(7), range(1, 4), range(1, 9)))
+    assert {record["status"].split(":")[0] for record in objects} == {"ok", "skipped"}
+    assert outputs == {
+        "json": (0, json.dumps(objects, indent=2) + "\n"), "csv": (0, csv_oracle(objects)),
+        "plain": (0, plain_oracle(objects)),
+    }
+    monkeypatch.setattr(cli, "_BLOCK", 5)
+    assert {fmt: cli.run([*argv, "--format", fmt]) for fmt in cli.FORMATS} == outputs
