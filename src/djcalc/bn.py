@@ -33,6 +33,8 @@ __all__ = [
     "rho_adjusted",
     "expected_dim",
     "expected_dim_or_error",
+    "fixed_dim_or_error",
+    "general_dim_or_error",
     "expected_dim_sigma",
     "expected_dim_fixed_series",
     "is_empty_for_general_curve",
@@ -46,15 +48,22 @@ __all__ = [
 
 
 # The checks of SeriesParams and DJProblem, shared with the expected_dim
-# kernel: each returns the error of its first failed check, unraised, or None.
-def _series_error(g: int, r: int, d: int) -> ValueError | None:
-    if g < 0:
-        return ValueError(f"genus must be >= 0, got g={g}")
+# kernel: each returns the error of its first failed check, unraised, or
+# None.  The genus check is g < 0, and _genus_error its error.
+def _genus_error(g: int) -> ValueError:
+    return ValueError(f"genus must be >= 0, got g={g}")
+
+
+def _rank_degree_error(r: int, d: int) -> ValueError | None:
     if r < 1:
         return ValueError(f"series dimension must be >= 1, got r={r}")
     if d < 1:
         return ValueError(f"degree must be >= 1, got d={d}")
     return None
+
+
+def _series_error(g: int, r: int, d: int) -> ValueError | None:
+    return _genus_error(g) if g < 0 else _rank_degree_error(r, d)
 
 
 def _f_error(r: int, s: int, f: int) -> ValueError | None:
@@ -119,21 +128,42 @@ def rho_adjusted(params: SeriesParams, alpha: RamificationSequence) -> int:
     return rho(params) - sum(alpha.entries)
 
 
-def expected_dim_or_error(g: int, r: int, d: int, e: int, s: int, f: int) -> int | ValueError:
-    """rho + e - f(r+1-s+f) for a partition of length e and sum s, or the
-    error of the first failed check, unraised: the checks of SeriesParams,
-    then of DJProblem, then rho >= 0 (a HypothesisViolation), in that order.
-    The integer kernel of expected_dim and of every dim/empty cell.
-    """
-    error = _series_error(g, r, d) or _f_error(r, s, f)
+def fixed_dim_or_error(r: int, d: int, e: int, s: int, f: int) -> int | ValueError:
+    """The half of expected_dim_or_error that does not read g: e - f(r+1-s+f)
+    for a partition of length e and sum s, or the error of the first failed
+    check of r, d (SeriesParams) and f (DJProblem), unraised."""
+    error = _rank_degree_error(r, d) or _f_error(r, s, f)
     if error is not None:
         return error
+    return e - f * (r + 1 - s + f)
+
+
+def general_dim_or_error(g: int, r: int, d: int, fixed: int | ValueError) -> int | ValueError:
+    """The half of expected_dim_or_error that reads g, given `fixed`, what
+    fixed_dim_or_error returns for (r, d): the genus check's error, else
+    `fixed` itself when it is an error, else the HypothesisViolation of
+    rho < 0, else rho + fixed."""
+    if g < 0:
+        return _genus_error(g)
+    if isinstance(fixed, ValueError):
+        return fixed
     rho_value = rho_raw(g, r, d)
     if rho_value < 0:
         return HypothesisViolation(
             f"rho({g},{r},{d}) = {rho_value} < 0; the dimension statement assumes rho >= 0"
         )
-    return rho_value + e - f * (r + 1 - s + f)
+    return rho_value + fixed
+
+
+def expected_dim_or_error(g: int, r: int, d: int, e: int, s: int, f: int) -> int | ValueError:
+    """rho + e - f(r+1-s+f) for a partition of length e and sum s, or the
+    error of the first failed check, unraised: the checks of SeriesParams,
+    then of DJProblem, then rho >= 0 (a HypothesisViolation), in that order.
+    The integer kernel of expected_dim and of every dim/empty cell, which
+    evaluates its two halves apart, so that the cells of one (r, d) share
+    the half that does not read g.
+    """
+    return general_dim_or_error(g, r, d, fixed_dim_or_error(r, d, e, s, f))
 
 
 def expected_dim(g: int, r: int, d: int, e: int, s: int, f: int) -> int:

@@ -90,9 +90,9 @@ MAX_SAMPLES = 100_000
 # longer one gets a message that names the text instead of the interpreter's.
 MAX_LITERAL_DIGITS = 4300
 
-# The least integer of more than MAX_LITERAL_DIGITS digits.  A part or an f
-# value of a cell takes the same bound, so that no record holds a number its
-# format cannot write.
+# The least integer of more than MAX_LITERAL_DIGITS digits.  A part, a
+# partition's sum or an f value of a cell takes the same bound, so that no
+# record or message holds a number its format cannot write.
 _TOO_LONG = 10**MAX_LITERAL_DIGITS
 
 
@@ -213,16 +213,17 @@ def compile_int_expr(
 
 def compile_partition_spec(
     spec: str, names: Container[str], grid: Mapping[str, Sized] | None = None
-) -> Callable[[dict[str, int]], tuple[Partition, str] | ValueError]:
+) -> tuple[Callable[[dict[str, int]], tuple[Partition, str] | ValueError], frozenset[str]]:
     """Compile a partition spec, '2,2,1' or power notation '2^3,1^2', into a
     function of env that returns the partition and its record text, or the
-    ValueError of the first failed check, unraised.  Bases and exponents may
-    be expressions in the variables in `names` (e.g. '2^r,1^(d-2*r)').  Zero
-    exponents drop the part; negative exponents, non-positive parts, parts of
-    more than MAX_LITERAL_DIGITS digits and specs of more than MAX_PARTS
-    parts are rejected.  A compile error in an item is returned only when
-    evaluation reaches that item, so the earlier items' checks come first,
-    item by item.
+    ValueError of the first failed check, unraised, and the set of names the
+    function reads.  Bases and exponents may be expressions in the variables
+    in `names` (e.g. '2^r,1^(d-2*r)').  Zero exponents drop the part;
+    negative exponents, non-positive parts, parts of more than
+    MAX_LITERAL_DIGITS digits, specs of more than MAX_PARTS parts and sums of
+    more than MAX_LITERAL_DIGITS digits are rejected.  A compile error in an
+    item is returned only when evaluation reaches that item, so the earlier
+    items' checks come first, item by item.
 
     `grid` maps each name to the values it takes over one request.  When a
     name the spec does not read takes more than one, the values of the names
@@ -270,10 +271,13 @@ def compile_partition_spec(
         if compile_error is not None:
             return compile_error
         mu = Partition(parts)
+        if mu.total >= _TOO_LONG:
+            return ValueError(f"partition spec {spec!r} sums to more than {MAX_LITERAL_DIGITS} digits")
         return mu, _mu_text(mu)
 
+    reads = frozenset(reads)
     if grid is None or all(len(values) <= 1 for name, values in grid.items() if name not in reads):
-        return partition
+        return partition, reads
     key_of = itemgetter(*sorted(reads)) if reads else (lambda env: None)
     memo: dict[object, tuple[Partition, str] | ValueError] = {}
     room = MAX_PARTS  # the memo keeps at most one largest partition's worth of parts
@@ -289,29 +293,31 @@ def compile_partition_spec(
                 room -= size
                 memo[key] = entry
         return entry
-    return memoized
+    return memoized, reads
 
 
-def compile_f_spec(spec: str, names: Iterable[str]) -> Callable[[dict[str, int]], int | ValueError]:
+def compile_f_spec(
+    spec: str, names: Iterable[str]
+) -> tuple[Callable[[dict[str, int]], int | ValueError], frozenset[str]]:
     """Compile an f spec into a function of an env that binds `names` (e.g.
     g, r, d) and e and s, the length and the sum of the cell's partition: an
     integer expression over those names, or 'span=<expr>' for
-    f = s - span - 1.  A compile error, or a value of more than
-    MAX_LITERAL_DIGITS digits, is returned, unraised, when the function is
-    called."""
+    f = s - span - 1; and the set of names the function reads.  A compile
+    error, or a value of more than MAX_LITERAL_DIGITS digits, is returned,
+    unraised, when the function is called."""
     span = spec.startswith("span=")
     try:
-        value_of, _ = compile_int_expr(spec[len("span="):] if span else spec, {*names, "e", "s"})
+        value_of, reads = compile_int_expr(spec[len("span="):] if span else spec, {*names, "e", "s"})
     except ValueError as exc:
         compile_error = exc.with_traceback(None)
-        return lambda env: compile_error
+        return (lambda env: compile_error), frozenset()
 
     def f(env: dict[str, int]) -> int | ValueError:
         value = env["s"] - value_of(env) - 1 if span else value_of(env)
         if -_TOO_LONG < value < _TOO_LONG:
             return value
         return ValueError(f"f spec {spec!r} gives a value of more than {MAX_LITERAL_DIGITS} digits")
-    return f
+    return f, (reads | {"s"} if span else reads)
 
 
 def parse_range(text: str) -> range:
@@ -390,7 +396,13 @@ def _cmd_cells(args):
     dejonq.count_error or in the kernel gets that error as a value: a sweep
     emits a `skipped: <message>` record, whose inputs show each spec's text
     until it evaluates, and a single command, the 1x1x1 grid, raises it.  A
-    count is charged to the request only once count_error passes it."""
+    count is charged to the request only once count_error passes it.
+
+    A cell's work is split in two: its head (see `head`), which g enters
+    only through a spec that reads g, and its tail, which reads g:
+    count_error and the count, or the kernel's half that reads g.  When
+    neither spec reads g and g takes several values, the heads of the first
+    g are kept and every other g reuses them."""
     sweep = args.command == "sweep"
     if sweep:
         grid = (parse_range(args.g), parse_range(args.r), parse_range(args.d))
@@ -402,51 +414,84 @@ def _cmd_cells(args):
     what, names = args.what, ("g", "r", "d")
     count, is_dim = what == "count", what == "dim"
     mu_spec, f_spec = args.mu, args.f
-    mu_of = compile_partition_spec(mu_spec, names, dict(zip(names, grid)))
-    f_of = None if count else compile_f_spec(f_spec, names)
-    records = []
-    append = records.append
-    code = text = work = 0
-    for g, r, d in itertools.product(*grid):
+    mu_of, reads = compile_partition_spec(mu_spec, names, dict(zip(names, grid)))
+    if not count:
+        f_of, f_reads = compile_f_spec(f_spec, names)
+        reads |= f_reads
+    gs, rs, ds = grid
+
+    def skipped(error: ValueError) -> str:
+        if not sweep:
+            raise error
+        return f"skipped: {error}"
+
+    def head(g: int, r: int, d: int) -> tuple:
+        """(r, d, mu field, f field, what the tail takes, status): the tail
+        takes the partition of a count, or the kernel's half that does not
+        read g, with its skip status when that is an error.  A spec's error
+        leaves the tail nothing, and its skip status is the cell's."""
         env = {"g": g, "r": r, "d": d}
         entry = mu_of(env)
         if isinstance(entry, ValueError):
-            error, mu_text, f = entry, mu_spec, f_spec
+            return r, d, mu_spec, f_spec, None, skipped(entry)
+        mu, mu_text = entry
+        if count:
+            return r, d, mu_text, None, mu, None
+        env["e"], env["s"] = e, s = mu.length, mu.total
+        f = f_of(env)
+        if isinstance(f, ValueError):
+            return r, d, mu_text, f_spec, None, skipped(f)
+        fixed = bn.fixed_dim_or_error(r, d, e, s, f)
+        return r, d, mu_text, f, fixed, (f"skipped: {fixed}" if isinstance(fixed, ValueError) else None)
+
+    # The heads of the first g, kept as they are reached, so that the text
+    # bound stops a request before it builds the heads past it.
+    kept: list[tuple] = []
+
+    def keep(cell: tuple) -> tuple:
+        kept.append(cell)
+        return cell
+
+    shared = len(gs) > 1 and "g" not in reads
+    records = []
+    append = records.append
+    code = text = work = 0
+    for g in gs:
+        if kept:
+            heads = kept
         else:
-            mu, mu_text = entry
-            e, s = mu.length, mu.total
-            if count:
-                error = dejonq.count_error(g, r, d, e, s)
+            heads = itertools.starmap(head, itertools.product((g,), rs, ds))
+            if shared:
+                heads = map(keep, heads)
+        for r, d, mu_text, f, tail, status in heads:
+            if tail is None:  # a spec's error, which status names
+                pass
+            elif count:
+                error = dejonq.count_error(g, r, d, tail.length, tail.total)
                 if error is None:
-                    work = _charge(work, g, r, d, e)
-                    record, cell_code = _count_record(g, r, d, mu, mu_text)
+                    work = _charge(work, g, r, d, tail.length)
+                    record, cell_code = _count_record(g, r, d, tail, mu_text)
                     code = max(code, cell_code)
-            else:
-                env["e"], env["s"] = e, s
-                f = f_of(env)
-                if isinstance(f, ValueError):
-                    error, f = f, f_spec
                 else:
-                    dim = bn.expected_dim_or_error(g, r, d, e, s, f)
-                    if isinstance(dim, ValueError):
-                        error = dim
-                    else:
-                        error = None
-                        record = (g, r, d, mu_text, f, dim if is_dim else dim < 0, ("dimension",), None, "ok",
-                                  "empty" if dim < 0 else "possible")
-        if error is not None:
-            if not sweep:
-                raise error
-            status = f"skipped: {error}"
-            record = (g, r, d, mu_text, None, (), None, status, None) if count else (
-                g, r, d, mu_text, f, None, (), None, status, None)
-        text += len(mu_text)
-        if text > MAX_MU_TEXT:
-            raise ValueError(
-                f"a request writes at most {MAX_MU_TEXT} characters of partition text,"
-                f" passed at g={g}, r={r}, d={d}"
-            )
-        append(record)
+                    status = skipped(error)
+            else:
+                dim = bn.general_dim_or_error(g, r, d, tail)
+                if isinstance(dim, ValueError):
+                    if dim is not tail or not sweep:  # else the head's status names it
+                        status = skipped(dim)
+                else:
+                    record = (g, r, d, mu_text, f, dim if is_dim else dim < 0, ("dimension",), None, "ok",
+                              "empty" if dim < 0 else "possible")
+            if status is not None:
+                record = (g, r, d, mu_text, None, (), None, status, None) if count else (
+                    g, r, d, mu_text, f, None, (), None, status, None)
+            text += len(mu_text)
+            if text > MAX_MU_TEXT:
+                raise ValueError(
+                    f"a request writes at most {MAX_MU_TEXT} characters of partition text,"
+                    f" passed at g={g}, r={r}, d={d}"
+                )
+            append(record)
     return records, code
 
 

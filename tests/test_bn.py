@@ -14,6 +14,8 @@ from djcalc.bn import (
     expected_dim_fixed_series,
     expected_dim_or_error,
     expected_dim_sigma,
+    fixed_dim_or_error,
+    general_dim_or_error,
     is_empty_for_general_curve,
     rho,
     rho_adjusted,
@@ -159,6 +161,22 @@ def test_expected_dim_checks_in_order():
     assert expected_dim(3, 2, 4, 2, 4, 2) == 0
     for args in ((-1, 0, 0, 1, 2, 9), (8, 3, 8, 1, 2, 9), (8, 3, 8, 1, 2, 2), (3, 2, 4, 2, 4, 2)):
         assert returned(expected_dim_or_error, *args) == outcome(expected_dim, *args)
+
+
+@given(
+    st.lists(st.integers(-3, 12), min_size=1, max_size=4), st.integers(-3, 8), st.integers(-3, 20),
+    st.lists(st.integers(1, 5), max_size=6), st.integers(-4, 24),
+)
+def test_one_half_that_reads_no_g_serves_every_g(gs, r, d, parts, f):
+    mu = Partition(parts)
+    fixed = fixed_dim_or_error(r, d, mu.length, mu.total, f)
+    for g in gs:
+        dim = general_dim_or_error(g, r, d, fixed)
+        assert returned(lambda: dim) == returned(expected_dim_or_error, g, r, d, mu.length, mu.total, f)
+        if g >= 0 and isinstance(fixed, ValueError):
+            assert dim is fixed  # so a sweep formats its message once for every g
+    if not isinstance(fixed, ValueError):
+        assert fixed == expected_dim_fixed_series(problem(0, r, d, parts, f))
 
 
 @given(valid_problems())

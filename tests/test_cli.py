@@ -37,7 +37,7 @@ def evaluate(text, env):
 
 # A compiled spec returns its error; these raise it, as a single command does.
 def partition(spec, env):
-    entry = cli.compile_partition_spec(spec, env)(env)
+    entry = cli.compile_partition_spec(spec, env)[0](env)
     if isinstance(entry, ValueError):
         raise entry
     mu, _ = entry
@@ -46,7 +46,7 @@ def partition(spec, env):
 
 def f_value(spec, env, mu):
     env = dict(env, e=mu.length, s=mu.total)  # as the cell binds them once --mu evaluates
-    value = cli.compile_f_spec(spec, ("g", "r", "d"))(env)
+    value = cli.compile_f_spec(spec, ("g", "r", "d"))[0](env)
     if isinstance(value, ValueError):
         raise value
     return value
@@ -174,9 +174,24 @@ def test_parts_and_f_values_take_the_literal_digit_bound(capsys):
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
     # the bound itself is admitted
-    code, out = run(["sweep", "--what", "dim", *cell, "--mu", f"{nines},1", "--f", f"{nines}"], capsys)
-    assert code == 0 and out.startswith(f"g=1 r=1 d=2 mu={nines},1 f={nines} ")
+    code, out = run(["sweep", "--what", "empty", *cell, "--mu", nines, "--f", nines], capsys)
+    assert code == 0 and out.startswith(f"g=1 r=1 d=2 mu={nines} f={nines} result=true paths=dimension delta= status=ok")
     assert f_value(f"-{nines}", {"g": 1, "r": 1, "d": 2}, Partition((1, 1))) == -int(nines)
+
+
+
+def test_a_partition_sum_past_the_digit_bound_skips_its_cell(capsys):
+    # each part is within the bound, but 4,300 nines and a 1 sum to 10**4300
+    nines = "9" * cli.MAX_LITERAL_DIGITS
+    spec = f"{nines}^g,1"
+    message = f"partition spec {spec!r} sums to more than {cli.MAX_LITERAL_DIGITS} digits"
+    for what, f, first in (("dim", ["--f", "1"], "ok"), ("count", [], "skipped: |mu| = d violated: |mu|=1, d=2")):
+        code, out = run(["sweep", "--what", what, "--g", "0:1", "--r", "1", "--d", "2", "--mu", spec, *f,
+                         "--format", "json"], capsys)
+        assert code == 0
+        assert [record["status"] for record in json.loads(out)] == [first, f"skipped: {message}"]
+        assert cli.main([what, "--g", "1", "--r", "1", "--d", "2", "--mu", spec, *f]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # Each integer option, with a request in which the option's value is read.
@@ -227,7 +242,7 @@ def test_partition_spec_bounds_parts_before_allocating():
 def test_partition_spec_first_error_wins():
     # the empty item is a compile error, but the per-env check of the item
     # before it comes first, as when each item was read in turn
-    compiled = cli.compile_partition_spec("2^(r-9),,1", ("g", "r", "d"))
+    compiled, _ = cli.compile_partition_spec("2^(r-9),,1", ("g", "r", "d"))
     assert outcome(compiled, {"g": 0, "r": 2, "d": 0}) == (
         "error", ValueError, "partition item '2^(r-9)' has negative multiplicity -7"
     )
@@ -259,19 +274,19 @@ GRID = {"g": range(-1, 4), "r": range(-1, 4), "d": range(-1, 7)}
 
 @pytest.mark.parametrize("spec", MEMO_SPECS)
 def test_memoized_partition_spec_matches_fresh_compiles(spec):
-    memoized = cli.compile_partition_spec(spec, NAMES, GRID)
+    memoized, _ = cli.compile_partition_spec(spec, NAMES, GRID)
     for g in GRID["g"]:
         for r in GRID["r"]:
             for d in GRID["d"]:
                 env = {"g": g, "r": r, "d": d}
-                assert outcome(memoized, env) == outcome(cli.compile_partition_spec(spec, NAMES), env)
+                assert outcome(memoized, env) == outcome(cli.compile_partition_spec(spec, NAMES)[0], env)
 
 
 def test_partition_spec_memoizes_only_where_the_grid_repeats_a_key():
     cell, again = {"g": 0, "r": 1, "d": 4}, {"g": 5, "r": 1, "d": 4}
 
     def memoizes(spec, grid):
-        by_spec = cli.compile_partition_spec(spec, NAMES, grid)
+        by_spec, _ = cli.compile_partition_spec(spec, NAMES, grid)
         first, second = by_spec(cell), by_spec(again)
         assert first == second
         return first is second
@@ -284,13 +299,13 @@ def test_partition_spec_memoizes_only_where_the_grid_repeats_a_key():
 
 def test_partition_spec_memo_keeps_at_most_max_parts(monkeypatch):
     monkeypatch.setattr(cli, "MAX_PARTS", 10)
-    by_d = cli.compile_partition_spec("1^d", NAMES, {"g": range(2), "r": range(1), "d": range(20)})
+    by_d, _ = cli.compile_partition_spec("1^d", NAMES, {"g": range(2), "r": range(1), "d": range(20)})
     kept = [by_d({"g": 0, "r": 0, "d": d}) is by_d({"g": 1, "r": 0, "d": d}) for d in (4, 6, 1, 3)]
     assert kept == [True, True, False, False]  # 4 + 6 parts fill the memo
 
 
 def test_memo_keeps_one_error_per_key_and_a_single_command_raises_afresh():
-    by_g = cli.compile_partition_spec("2^(g-1)", NAMES, GRID)
+    by_g, _ = cli.compile_partition_spec("2^(g-1)", NAMES, GRID)
     errors = [by_g({"g": 0, "r": r, "d": 4}) for r in (1, 2, 3)]  # one key, g = 0
     assert outcome(lambda: errors[0]) == ("error", ValueError, "partition item '2^(g-1)' has negative multiplicity -1")
     assert errors[0] is errors[1] is errors[2]
@@ -455,14 +470,22 @@ envs = st.fixed_dictionaries({name: st.integers(-3, 6) for name in "grd"})
 @given(spec_texts, st.lists(envs, min_size=1, max_size=3), st.lists(st.integers(1, 4), max_size=4))
 def test_compiled_specs_match_interpreting_oracle(text, cells, parts):
     mu = Partition(parts)
-    compiled_mu = cli.compile_partition_spec(text, ("g", "r", "d"))
-    compiled_f = cli.compile_f_spec(text, ("g", "r", "d"))
+    compiled_mu, mu_reads = cli.compile_partition_spec(text, ("g", "r", "d"))
+    compiled_f, f_reads = cli.compile_f_spec(text, ("g", "r", "d"))
     for env in cells:  # one compiled form serves every cell, as in a sweep
         assert outcome(compiled_mu, env) == outcome(oracle_partition_entry, text, env)
         assert outcome(partition, text, env) == outcome(oracle_parse_partition_spec, text, env)
         expected_f = outcome(oracle_parse_f_spec, text, env, mu)
-        assert outcome(compiled_f, dict(env, e=mu.length, s=mu.total)) == expected_f
+        f_env = dict(env, e=mu.length, s=mu.total)
+        assert outcome(compiled_f, f_env) == expected_f
         assert outcome(f_value, text, env, mu) == expected_f
+        # a name that a spec does not report reading leaves its value as it is
+        for name in "grd":
+            moved = {name: env[name] + 1}
+            if name not in mu_reads:
+                assert outcome(compiled_mu, {**env, **moved}) == outcome(compiled_mu, env)
+            if name not in f_reads:
+                assert outcome(compiled_f, {**f_env, **moved}) == expected_f
 
 
 def test_parse_range():
@@ -998,7 +1021,8 @@ def test_huge_sweep_exits_2_before_any_cell(capsys, monkeypatch):
     for name in ("compile_partition_spec", "compile_f_spec", "_count_record"):
         monkeypatch.setattr(cli, name, unreachable)
     monkeypatch.setattr(dejonq, "count_error", unreachable)
-    monkeypatch.setattr(cli.bn, "expected_dim_or_error", unreachable)
+    for name in ("expected_dim_or_error", "fixed_dim_or_error", "general_dim_or_error"):
+        monkeypatch.setattr(cli.bn, name, unreachable)
     for g, cells in (("0:1000000000", 10**9 + 1), ("0:100000000000000000000", 10**20 + 1)):
         for what, f in (("dim", ["--f", "0"]), ("count", [])):
             argv = ["sweep", "--what", what, "--g", g, "--r", "1", "--d", "1", "--mu", "1", *f]
@@ -1008,23 +1032,26 @@ def test_huge_sweep_exits_2_before_any_cell(capsys, monkeypatch):
 
 def test_sweep_cell_limit_admits_the_160400_cell_grid(monkeypatch):
     # a 160,400-cell grid is under the cap; the specs and the kernel are
-    # stubbed to keep the test fast, and the kernel counts the cells
-    evaluated = 0
+    # stubbed to keep the test fast, and the kernel's two halves count the
+    # cells that reach them: the half that reads g is every cell's
+    evaluated = {"fixed_dim_or_error": 0, "general_dim_or_error": 0}
 
-    def kernel(*args):
-        nonlocal evaluated
-        evaluated += 1
-        return 0
+    def counting(name):
+        def half(*args):
+            evaluated[name] += 1
+            return 0
+        return half
 
     mu = Partition((1,))
-    monkeypatch.setattr(cli, "compile_partition_spec", lambda *args: lambda env: (mu, "1"))
-    monkeypatch.setattr(cli, "compile_f_spec", lambda *args: lambda env: 0)
-    monkeypatch.setattr(cli.bn, "expected_dim_or_error", kernel)
+    monkeypatch.setattr(cli, "compile_partition_spec", lambda *args: (lambda env: (mu, "1"), frozenset()))
+    monkeypatch.setattr(cli, "compile_f_spec", lambda *args: (lambda env: 0, frozenset()))
+    for name in evaluated:
+        monkeypatch.setattr(cli.bn, name, counting(name))
     monkeypatch.setattr(cli, "render", lambda *args, **kwargs: "")
     argv = ["sweep", "--g", "0:400", "--r", "1:20", "--d", "1:20", "--mu", "2^r,1^(d-2*r)", "--f", "span=r-1",
             "--what", "dim"]
     assert cli.run(argv) == (0, "")
-    assert evaluated == 160_400
+    assert evaluated == {"fixed_dim_or_error": 400, "general_dim_or_error": 160_400}
 
 
 def test_sweep_partition_text_limit(capsys, monkeypatch):
@@ -1051,6 +1078,59 @@ def test_sweep_partition_text_limit_admits_the_cap_sweep():
     records, _ = cli._cmd_cells(cli.build_parser().parse_args(argv))
     text = 500 * sum(len(record[3]) for record in records)  # the mu field
     assert text == 2_900_000 <= cli.MAX_MU_TEXT
+
+
+
+def recording_specs(monkeypatch):
+    """The (g, r, d) of each evaluation of each spec of a request, and the
+    number of partitions built."""
+    seen = {"mu": [], "f": [], "partitions": 0}
+
+    def recording(compile_spec, key):
+        def compiled(*args):
+            spec_of, reads = compile_spec(*args)
+
+            def evaluated(env):
+                seen[key].append((env["g"], env["r"], env["d"]))
+                return spec_of(env)
+            return evaluated, reads
+        return compiled
+
+    def partition(parts):
+        seen["partitions"] += 1
+        return Partition(parts)
+
+    monkeypatch.setattr(cli, "compile_partition_spec", recording(cli.compile_partition_spec, "mu"))
+    monkeypatch.setattr(cli, "compile_f_spec", recording(cli.compile_f_spec, "f"))
+    monkeypatch.setattr(cli, "Partition", partition)
+    return seen
+
+
+# (--mu, --f, whether either reads g); every cell's --mu evaluates.
+@pytest.mark.parametrize("mu, f, reads_g", [
+    ("r+1,1^d", "span=r-1", False),
+    ("r+1,1^d", "g-r", True),
+    ("g+r,1^d", "1", True),
+])
+def test_sweep_evaluates_specs_that_read_no_g_once_per_r_and_d(monkeypatch, mu, f, reads_g):
+    seen = recording_specs(monkeypatch)
+    code, _ = cli.run(["sweep", "--what", "dim", "--g", "0:3", "--r", "1:2", "--d", "2:4", "--mu", mu, "--f", f])
+    assert code == 0
+    cells = list(itertools.product(range(4), range(1, 3), range(2, 5)))
+    assert seen["mu"] == seen["f"] == (cells if reads_g else cells[:6])
+    # the memo builds a partition that reads no g once per (r, d) all the same
+    assert seen["partitions"] == (24 if "g" in mu else 6)
+
+
+def test_sweep_builds_shared_heads_only_up_to_the_text_bound(monkeypatch):
+    # the heads of the first g are built cell by cell, so the bound stops the
+    # request at the cell that passes it, as when each cell built its own
+    monkeypatch.setattr(cli, "MAX_MU_TEXT", 21)
+    seen = recording_specs(monkeypatch)
+    with pytest.raises(ValueError, match="^a request writes at most 21 characters of partition text,"
+                                         " passed at g=0, r=1, d=5$"):
+        cli.run(["sweep", "--what", "dim", "--g", "0:9", "--r", "1", "--d", "1:10", "--mu", "1^d", "--f", "0"])
+    assert seen["mu"] == [(0, 1, d) for d in range(1, 6)]
 
 
 # Each kind of skipped dim cell, as (the message it gives, the lowest g, the

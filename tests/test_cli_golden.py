@@ -3,6 +3,7 @@ property that a sweep row is the single command's record of its cell."""
 
 import argparse
 import io
+import itertools
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -131,24 +132,44 @@ def main(argv):
 mu_specs = st.sampled_from(
     ["2,2", "2^r,1^(d-2*r)", "r+1,1^(d-r-1)", "2^(g-1)", "3", "2,1", "1^d", "2,x", "2,,1", "0^2", "2^(r-3)"]
 )
-f_specs = st.sampled_from(["0", "1", "2", "d-r", "s-r", "e-1", "span=0", "span=1", "span=r-2", "x", "s+1"])
+# With those that read g, which must not share one value across a sweep's g.
+f_specs = st.sampled_from(
+    ["0", "1", "2", "d-r", "s-r", "e-1", "span=0", "span=1", "span=r-2", "x", "s+1", "g", "g-r", "span=g-1"]
+)
+
+
+def values(lo, most):
+    """A sweep range starting at one of `lo`, of 1 to `most` values, as its text and its values."""
+    return st.tuples(lo, st.integers(1, most)).map(lambda start_n: (
+        f"{start_n[0]}:{start_n[0] + start_n[1] - 1}", range(start_n[0], start_n[0] + start_n[1])
+    ))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(["count", "dim", "empty"]),
-    st.integers(-1, 6), st.integers(-1, 4), st.integers(-1, 9),
+    values(st.integers(-2, 6), 4), values(st.integers(-1, 4), 3), values(st.integers(-1, 9), 3),
     mu_specs, f_specs,
 )
-def test_sweep_row_is_the_single_command_record(what, g, r, d, mu, f):
-    cell = ["--g", str(g), "--r", str(r), "--d", str(d), "--mu", mu]
-    if what != "count":
-        cell += ["--f", f]
-    sweep_code, sweep_out, _ = main(["sweep", "--what", what, *cell, "--format", "json"])
-    [row] = json.loads(sweep_out)
-    code, out, err = main([what, *cell, "--format", "json"])
-    if row["status"].startswith("skipped: "):
-        assert sweep_code == 0
-        assert (code, out, err) == (2, "", f"error: {row['status'][len('skipped: '):]}\n")
-    else:
-        assert (code, json.loads(out), err) == (sweep_code, row, "")
+def test_sweep_row_is_the_single_command_record(what, gs, rs, ds, mu, f):
+    specs = ["--mu", mu] + (["--f", f] if what != "count" else [])
+    sweep_code, sweep_out, sweep_err = main(
+        ["sweep", "--what", what, f"--g={gs[0]}", f"--r={rs[0]}", f"--d={ds[0]}", *specs, "--format", "json"]
+    )
+    rows = json.loads(sweep_out)
+    assert sweep_err == ""
+    assert [tuple(row["inputs"][key] for key in "grd") for row in rows] == list(itertools.product(gs[1], rs[1], ds[1]))
+    codes = [0]
+    for row in rows:
+        cell = [f"--{key}={row['inputs'][key]}" for key in "grd"]
+        if what != "count" and row["inputs"]["g"] < 0 and type(row["inputs"]["f"]) is int:
+            # both specs evaluated (f is no longer the spec's text), so the
+            # kernel's first check, of the genus, is the one that fails
+            assert row["status"] == f"skipped: genus must be >= 0, got g={row['inputs']['g']}"
+        code, out, err = main([what, *cell, *specs, "--format", "json"])
+        if row["status"].startswith("skipped: "):
+            assert (code, out, err) == (2, "", f"error: {row['status'][len('skipped: '):]}\n")
+        else:
+            assert (json.loads(out), err) == (row, "")
+            codes.append(code)
+    assert sweep_code == max(codes)
