@@ -47,6 +47,13 @@ __all__ = [
 ]
 
 
+# The most digits of an int that the interpreter converts to str by default
+# (CPython gh-95778).  The rho message names this bound in place of a rho
+# past it, which it could not write.
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
+
+
 # The checks of SeriesParams and DJProblem, shared with the expected_dim
 # kernel: each returns the error of its first failed check, unraised, or
 # None.  The genus check is g < 0, and _genus_error its error.
@@ -142,16 +149,16 @@ def general_dim_or_error(g: int, r: int, d: int, fixed: int | ValueError) -> int
     """The half of expected_dim_or_error that reads g, given `fixed`, what
     fixed_dim_or_error returns for (r, d): the genus check's error, else
     `fixed` itself when it is an error, else the HypothesisViolation of
-    rho < 0, else rho + fixed."""
+    rho < 0, which names MAX_DIGITS in place of a rho past it, else
+    rho + fixed."""
     if g < 0:
         return _genus_error(g)
     if isinstance(fixed, ValueError):
         return fixed
     rho_value = rho_raw(g, r, d)
     if rho_value < 0:
-        return HypothesisViolation(
-            f"rho({g},{r},{d}) = {rho_value} < 0; the dimension statement assumes rho >= 0"
-        )
+        shown = f"= {rho_value}" if rho_value > -_TOO_LONG else f"has more than {MAX_DIGITS} digits and is"
+        return HypothesisViolation(f"rho({g},{r},{d}) {shown} < 0; the dimension statement assumes rho >= 0")
     return rho_value + fixed
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import random
@@ -22,7 +21,8 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import prod
 from operator import itemgetter
-from typing import Callable, Container, Iterable, Mapping, Sized
+from types import SimpleNamespace
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sized
 
 from . import bn, dejonq, lls
 from .errors import IntegralityError
@@ -88,11 +88,12 @@ MAX_SAMPLES = 100_000
 # option may have, checked before int(): the interpreter's default bound on
 # converting a string, so no literal that it converts is refused, and a
 # longer one gets a message that names the text instead of the interpreter's.
-MAX_LITERAL_DIGITS = 4300
+MAX_LITERAL_DIGITS = bn.MAX_DIGITS
 
 # The least integer of more than MAX_LITERAL_DIGITS digits.  A part, a
-# partition's sum or an f value of a cell takes the same bound, so that no
-# record or message holds a number its format cannot write.
+# partition's sum, an f value, a dimension or a cross-checked result of a
+# cell takes the same bound, so that no record or message holds a number its
+# format cannot write.
 _TOO_LONG = 10**MAX_LITERAL_DIGITS
 
 
@@ -363,14 +364,18 @@ def _cross_check(
     """A cross-checked result as (record, exit code).  `checked` returns
     (value, check); the record holds value as its result and check - value
     as its delta.  A nonzero delta or an IntegralityError gives a failure
-    status and exit code 3."""
+    status and exit code 3.  A value of more than MAX_LITERAL_DIGITS digits
+    gives its ValueError, unraised, in place of the record."""
     try:
         value, check = checked()
     except IntegralityError as exc:
         return (*inputs, None, paths, None, f"integrality violation: {exc}", None), 3
     delta = check - value
+    code = 0 if delta == 0 else 3
+    if not -_TOO_LONG < value < _TOO_LONG:
+        return ValueError(f"the result has more than {MAX_LITERAL_DIGITS} digits"), code
     status = "ok" if delta == 0 else f"cross-check failed: {disagreement}"
-    return (*inputs, value, paths, delta, status, verdict), (0 if delta == 0 else 3)
+    return (*inputs, value, paths, delta, status, verdict), code
 
 
 def _count_record(g: int, r: int, d: int, mu: Partition, mu_text: str):
@@ -393,7 +398,8 @@ def _count_record(g: int, r: int, d: int, mu: Partition, mu_text: str):
 def _cmd_cells(args):
     """count, dim, empty and sweep: the cells of a (g, r, d) grid in
     lexicographic order.  A cell that fails validation in its specs, in
-    dejonq.count_error or in the kernel gets that error as a value: a sweep
+    dejonq.count_error or in the kernel, or whose dimension or count has
+    more than MAX_LITERAL_DIGITS digits, gets that error as a value: a sweep
     emits a `skipped: <message>` record, whose inputs show each spec's text
     until it evaluates, and a single command, the 1x1x1 grid, raises it.  A
     count is charged to the request only once count_error passes it.
@@ -414,11 +420,14 @@ def _cmd_cells(args):
     what, names = args.what, ("g", "r", "d")
     count, is_dim = what == "count", what == "dim"
     mu_spec, f_spec = args.mu, args.f
-    mu_of, reads = compile_partition_spec(mu_spec, names, dict(zip(names, grid)))
+    gs, rs, ds = grid
+    f_reads = frozenset()
     if not count:
         f_of, f_reads = compile_f_spec(f_spec, names)
-        reads |= f_reads
-    gs, rs, ds = grid
+    # Unless --f reads g, --mu is evaluated at the first g alone (see `keep`),
+    # so its memo needs only the values the other names take.
+    mu_of, reads = compile_partition_spec(mu_spec, names, {"g": gs if "g" in f_reads else gs[:1], "r": rs, "d": ds})
+    reads |= f_reads
 
     def skipped(error: ValueError) -> str:
         if not sweep:
@@ -472,6 +481,8 @@ def _cmd_cells(args):
                     work = _charge(work, g, r, d, tail.length)
                     record, cell_code = _count_record(g, r, d, tail, mu_text)
                     code = max(code, cell_code)
+                    if isinstance(record, ValueError):
+                        status = skipped(record)
                 else:
                     status = skipped(error)
             else:
@@ -479,6 +490,8 @@ def _cmd_cells(args):
                 if isinstance(dim, ValueError):
                     if dim is not tail or not sweep:  # else the head's status names it
                         status = skipped(dim)
+                elif is_dim and not -_TOO_LONG < dim < _TOO_LONG:
+                    status = skipped(ValueError(f"the dimension has more than {MAX_LITERAL_DIGITS} digits"))
                 else:
                     record = (g, r, d, mu_text, f, dim if is_dim else dim < 0, ("dimension",), None, "ok",
                               "empty" if dim < 0 else "possible")
@@ -503,6 +516,8 @@ def _cmd_plucker(args):
         (g, r, d), ("coefficient", "closed_form"),
         lambda: dejonq.ramification_count_check(g, r, d)[::-1], "count and closed form disagree",
     )
+    if isinstance(record, ValueError):
+        raise record
     return [record], code
 
 
@@ -541,9 +556,8 @@ def _cmd_identity(args):
 # output
 # ---------------------------------------------------------------------------
 
-# How each format writes each leaf type of a record, all through C callables;
-# the lookup is by type, so 1 and True never meet.  Plain and CSV join paths
-# with '+'.
+# How each format writes each leaf type of a record; the lookup is by type, so
+# 1 and True never meet.  Plain and CSV join paths with '+'.
 _JSON_LEAF = {
     int: int.__repr__,
     str: encode_basestring_ascii,
@@ -557,35 +571,53 @@ _CELL = {
     type(None): {None: ""}.__getitem__,
     tuple: "+".join,
 }
-# The leaf types that %s, and csv, write as each format does.
+# A csv writer hands each line it makes to `write` and returns what that
+# returns, here the line itself.
+_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+
+
+def _csv_field(text: str) -> str:
+    """`text` as the csv module writes it as one field of a row of several:
+    quoted by its own rule, which has changed between Python versions."""
+    return _csv_line(("", text))[1:-1]  # a row of one empty field would be quoted
+
+
+# CSV writes its strings, paths once joined, as the csv module quotes them.
+_CSV = {**_CELL, str: _csv_field, tuple: lambda strings: _csv_field("+".join(strings))}
+# The leaf types that %s writes as each format does.
 _JSON_AS_IS = frozenset({int})
 _CELL_AS_IS = frozenset({int, str})
+_CSV_AS_IS = frozenset({int})
 
 
 def _column(values: tuple, convert: Mapping[type, Callable], as_is: frozenset[type]) -> Iterable:
     """A column of records as its format writes it: as it is when every type
-    in it is one of `as_is`, else each value through `convert` of its type.
-    A column of one type looks its conversion up once."""
-    types = set(map(type, values))
+    in it is one of `as_is`, else each distinct value converted once, through
+    `convert` of its type, and the column mapped through those texts.  Where
+    bools and ints meet, 1 == True would give both one text, so each value
+    is converted on its own."""
+    distinct = set(values)
+    types = set(map(type, distinct))
+    if 0 in distinct or 1 in distinct:  # the set keeps one of 0 and False, and of 1 and True
+        types = set(map(type, values))
     if types <= as_is:
         return values
-    if len(types) == 1:
-        return map(convert[types.pop()], values)
-    return [convert[type(value)](value) for value in values]
+    if bool in types and int in types:
+        return [convert[type(value)](value) for value in values]
+    texts = {value: convert[type(value)](value) for value in distinct}
+    return map(texts.__getitem__, values)
 
 
 # Records are converted a block at a time, so that only one block's columns
-# are held at once.
+# are held at once, and plain and CSV lines are written a block at a time.
 _BLOCK = 4096
 
 
-def _rows(records: list[tuple], convert: Mapping[type, Callable], as_is: frozenset[type]) -> Iterable[tuple]:
-    """The records as rows of what their format writes, converted column by
-    column (see `_column`) a block of records at a time."""
-    return itertools.chain.from_iterable(
-        zip(*[_column(values, convert, as_is) for values in zip(*records[start:start + _BLOCK])])
-        for start in range(0, len(records), _BLOCK)
-    )
+def _blocks(records: list[tuple], convert: Mapping[type, Callable], as_is: frozenset[type]) -> Iterator[Iterable[tuple]]:
+    """The records a block at a time, each block as the rows of what their
+    format writes, converted column by column (see `_column`)."""
+    for start in range(0, len(records), _BLOCK):
+        yield zip(*[_column(values, convert, as_is) for values in zip(*records[start:start + _BLOCK])])
 
 
 # Cached for good: 5 KEYS times 2 pads.
@@ -598,19 +630,6 @@ def _json_record_template(keys: tuple[str, ...], pad: str) -> str:
     return pad + json.dumps(placeholder, indent=2).replace('"%s"', "%s").replace("\n", f"\n{pad}")
 
 
-class _JsonLists(dict):
-    """Each tuple of strings as json.dumps(..., indent=2) writes it, built once
-    per render: a dict lookup costs less per record than a function call."""
-
-    def __init__(self, pad: str):
-        super().__init__()
-        self.pad = pad
-
-    def __missing__(self, strings: tuple[str, ...]) -> str:
-        text = self[strings] = json.dumps(strings, indent=2).replace("\n", f"\n{self.pad}  ")
-        return text
-
-
 def render(records, fmt: str, command: str, what: str) -> str:
     """The records of `command` in `fmt`, with the input keys of `what` (a
     sweep's --what, else the command), so each format's layout is built once
@@ -619,9 +638,12 @@ def render(records, fmt: str, command: str, what: str) -> str:
     object and its paths as a list.  Its layout is derived from json.dumps
     of a placeholder record, once per process, and each record is written
     through that %-template, since the pure-Python encoder that json.dumps
-    uses for indented output costs more than the cells; csv is a header and
-    a row per record, plain a line per record, both of `_CELL` strings.
-    Records are converted column by column (see `_column`)."""
+    uses for indented output costs more than the cells; csv is the csv
+    module's header and a row per record, plain a line per record, both of
+    `_CELL` strings, with CSV strings quoted by the csv module.  A block of
+    plain or CSV records is written at once, through its format's line
+    template repeated once per record.  Records are converted column by
+    column (see `_column`)."""
     keys = KEYS[what]
     if fmt == "plain" and what == "identity":
         record = records[0]
@@ -634,22 +656,22 @@ def render(records, fmt: str, command: str, what: str) -> str:
         many = command == "sweep"
         pad = "  " if many else ""
         template = _json_record_template(keys, pad)
-        leaf = {**_JSON_LEAF, tuple: _JsonLists(pad).__getitem__}
-        texts = list(map(template.__mod__, _rows(records, leaf, _JSON_AS_IS)))
+        leaf = {**_JSON_LEAF, tuple: lambda strings: json.dumps(strings, indent=2).replace("\n", f"\n{pad}  ")}
+        texts = list(map(template.__mod__, itertools.chain.from_iterable(_blocks(records, leaf, _JSON_AS_IS))))
         if many:  # the list's brackets, added to its ends so that the joined body is not copied again
             texts[0] = "[\n" + texts[0]
             texts[-1] += "\n]"
         texts[-1] += "\n"
         return ",\n".join(texts)
-    rows = _rows(records, _CELL, _CELL_AS_IS)
+    width = len(keys) + len(FIELDS)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow((*keys, *FIELDS))
-        writer.writerows(rows)
-        return buf.getvalue()
-    line = " ".join(f"{key}=%s" for key in (*keys, "result", "paths", "delta", "status", "verdict")) + "\n"
-    return "".join(map(line.__mod__, rows))
+        head, convert, as_is = _csv_line((*keys, *FIELDS)), _CSV, _CSV_AS_IS
+        line = ",".join(["%s"] * width) + "\n"
+    else:
+        head, convert, as_is = "", _CELL, _CELL_AS_IS
+        line = " ".join(f"{key}=%s" for key in (*keys, "result", "paths", "delta", "status", "verdict")) + "\n"
+    blocks = (tuple(itertools.chain.from_iterable(rows)) for rows in _blocks(records, convert, as_is))
+    return "".join([head, *(line * (len(fields) // width) % fields for fields in blocks)])
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,44 @@ def test_a_partition_sum_past_the_digit_bound_skips_its_cell(capsys):
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_a_number_past_the_digit_bound_is_its_cells_error(capsys):
+    nines = "9" * cli.MAX_LITERAL_DIGITS  # 10**4300 - 1
+    r_nines = nines[1:]  # 10**4299 - 1, whose rho has more than 4,300 digits
+    cell = ["--g", "0:1", "--r", "1", "--d", "2", "--mu", nines, "--f", nines]
+    dimension = f"the dimension has more than {cli.MAX_LITERAL_DIGITS} digits"
+    rho = [f"rho({g},{r_nines},1) has more than {cli.MAX_LITERAL_DIGITS} digits and is < 0;"
+           " the dimension statement assumes rho >= 0" for g in (0, 1)]
+    result = f"the result has more than {cli.MAX_LITERAL_DIGITS} digits"
+    a = 10**2500 + 1  # the count of (a, a, 1) at g = 2 has more than 4,300 digits
+    count = ["--r", str(2 * a - 2), "--d", str(2 * a + 1), "--mu", f"{a},{a},1"]
+    # in a sweep each such cell is skipped and the others are still written
+    for argv, statuses in (
+        (["sweep", "--what", "dim", *cell], [f"skipped: {dimension}"] * 2),
+        (["sweep", "--what", "empty", *cell], ["ok", "ok"]),  # the dimension is not written
+        (["sweep", "--what", "empty", "--g", "0:1", "--r", r_nines, "--d", "1", "--mu", "1", "--f", "0"],
+         [f"skipped: {message}" for message in rho]),
+        (["sweep", "--what", "count", "--g", "1:2", *count], ["skipped: " + result] * 2),
+    ):
+        code, out = run([*argv, "--format", "json"], capsys)
+        assert code == 0
+        assert [record["status"] for record in json.loads(out)] == statuses
+    # a single command exits 2 with the same message
+    for argv, message in (
+        (["dim", "--g", "0", *cell[2:]], dimension),
+        (["empty", "--g", "0", "--r", r_nines, "--d", "1", "--mu", "1", "--f", "0"], rho[0]),
+        (["count", "--g", "2", *count], result),
+        (["plucker", "--g", r_nines, "--r", r_nines, "--d", str(int(r_nines) + 2)], result),
+    ):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # a number of the bound's digits is written
+    code, out = run(["dim", "--g", "0", "--r", "1", "--d", "2", "--mu", nines, "--f", f"{nines}-1"], capsys)
+    assert code == 0 and f"result=-{nines[:-1]}5 paths=dimension delta= status=ok" in out
+    r, d = 10**cli.MAX_LITERAL_DIGITS - 2, 10**cli.MAX_LITERAL_DIGITS - 3  # rho(0, r, r - 1) = -(r + 1)
+    assert cli.main(["empty", "--g", "0", "--r", str(r), "--d", str(d), "--mu", "1", "--f", "0"]) == 2
+    assert capsys.readouterr().err == f"error: rho(0,{r},{d}) = -{nines} < 0; the dimension statement assumes rho >= 0\n"
+
+
 # Each integer option, with a request in which the option's value is read.
 INT_OPTIONS = [
     (argv, option)
@@ -1122,6 +1160,29 @@ def test_sweep_evaluates_specs_that_read_no_g_once_per_r_and_d(monkeypatch, mu, 
     assert seen["partitions"] == (24 if "g" in mu else 6)
 
 
+# (--what, --mu, --f or None, whether --mu keeps a memo): when no spec reads
+# g, the heads of the first g serve every g, so --mu keeps one only where
+# (r, d) repeat its key within one g.
+@pytest.mark.parametrize("what, mu, f, memo", [
+    ("dim", "1^d", "0", False),
+    ("count", "1^d", None, False),
+    ("dim", "r+1,1^r", "0", True),  # d takes three values
+    ("dim", "1^d", "g", True),  # --f reads g, so every g evaluates --mu
+    ("dim", "g+1,1^d", "0", False),
+])
+def test_sweep_memoizes_mu_only_where_a_key_repeats(monkeypatch, what, mu, f, memo):
+    compiled, compile_partition_spec = [], cli.compile_partition_spec
+
+    def recording(*args):
+        spec_of, reads = compile_partition_spec(*args)
+        compiled.append(spec_of.__name__)
+        return spec_of, reads
+    monkeypatch.setattr(cli, "compile_partition_spec", recording)
+    f_option = [] if f is None else ["--f", f]
+    cli.run(["sweep", "--what", what, "--g", "0:3", "--r", "2", "--d", "2:4", "--mu", mu, *f_option])
+    assert compiled == ["memoized" if memo else "partition"]
+
+
 def test_sweep_builds_shared_heads_only_up_to_the_text_bound(monkeypatch):
     # the heads of the first g are built cell by cell, so the bound stops the
     # request at the cell that passes it, as when each cell built its own
@@ -1516,3 +1577,28 @@ def test_sweeps_render_as_the_reference_writers_block_by_block(monkeypatch):
     }
     monkeypatch.setattr(cli, "_BLOCK", 5)
     assert {fmt: cli.run([*argv, "--format", fmt]) for fmt in cli.FORMATS} == outputs
+
+
+# Sweeps of more than two blocks whose columns repeat values across blocks:
+# render converts each distinct value of a block once, where 1 == True and
+# 0 == False, and CSV quotes each distinct string once through the csv module.
+BLOCK_SPANNING_RECORDS = {
+    "bools and ints meet": lambda i: (
+        i, [0, 1][i % 2], [1, True, 0][i % 3], "1,1", [0, False, None, 1][i % 4], [1, True, 0, False, 2, None][i % 6],
+        ("dimension",), [None, 0][i % 2], "ok", [None, "possible", "empty"][i % 3],
+    ),
+    "CSV quotes repeat": lambda i: (
+        i % 5, 1, 2, ["a,b", 'q"x', "r\rs", "n\nl", "", "plain"][i % 6], [None, 'f,"'][i % 2], [None, -i][i % 2],
+        [(), ("a,b",), ('q"', "x\r\ny")][i % 3], None, [f"skipped: {c}" for c in ',"\r\n'][i % 4],
+        [None, "ok,\n"][i % 7 == 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("build", BLOCK_SPANNING_RECORDS.values(), ids=BLOCK_SPANNING_RECORDS)
+def test_sweeps_of_several_blocks_render_as_the_reference_writers(build):
+    records = [build(i) for i in range(2 * cli._BLOCK + 7)]
+    objects = [as_object(INPUT_KEYS["dim"], record) for record in records]
+    assert cli.render(records, "json", "sweep", "dim") == json.dumps(objects, indent=2) + "\n"
+    assert cli.render(records, "csv", "sweep", "dim") == csv_oracle(objects)
+    assert cli.render(records, "plain", "sweep", "dim") == plain_oracle(objects)
