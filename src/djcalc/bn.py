@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ContractViolation, HypothesisViolation
-from .exact import Partition
+from .exact import MAX_DIGITS, Partition, too_long
 
 if TYPE_CHECKING:
     from .lls import RamificationSequence
@@ -45,13 +45,6 @@ __all__ = [
     "corollary_flex_bitangent",
     "corollary_total_ramification",
 ]
-
-
-# The most digits of an int that the interpreter converts to str by default
-# (CPython gh-95778).  The rho message names this bound in place of a rho
-# past it, which it could not write.
-MAX_DIGITS = 4300
-_TOO_LONG = 10**MAX_DIGITS
 
 
 # The checks of SeriesParams and DJProblem, shared with the expected_dim
@@ -157,7 +150,7 @@ def general_dim_or_error(g: int, r: int, d: int, fixed: int | ValueError) -> int
         return fixed
     rho_value = rho_raw(g, r, d)
     if rho_value < 0:
-        shown = f"= {rho_value}" if rho_value > -_TOO_LONG else f"has more than {MAX_DIGITS} digits and is"
+        shown = f"has more than {MAX_DIGITS} digits and is" if too_long(rho_value) else f"= {rho_value}"
         return HypothesisViolation(f"rho({g},{r},{d}) {shown} < 0; the dimension statement assumes rho >= 0")
     return rho_value + fixed
 

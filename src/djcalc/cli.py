@@ -26,7 +26,7 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Sized
 
 from . import bn, dejonq, lls
 from .errors import IntegralityError
-from .exact import Partition
+from .exact import MAX_DIGITS, Partition, too_long
 
 FORMATS = ("json", "csv", "plain")
 
@@ -84,26 +84,17 @@ MAX_COUNT_WORK = 150_000_000
 # The most samples `identity` draws: well under a second of proof_identity calls.
 MAX_SAMPLES = 100_000
 
-# The most digits an integer literal of an expression, a range or an integer
-# option may have, checked before int(): the interpreter's default bound on
-# converting a string, so no literal that it converts is refused, and a
-# longer one gets a message that names the text instead of the interpreter's.
-MAX_LITERAL_DIGITS = bn.MAX_DIGITS
-
-# The least integer of more than MAX_LITERAL_DIGITS digits.  A part, a
+# A literal of an expression, a range or an integer option, and a part, a
 # partition's sum, an f value, a dimension or a cross-checked result of a
-# cell takes the same bound, so that no record or message holds a number its
-# format cannot write.
-_TOO_LONG = 10**MAX_LITERAL_DIGITS
-
-
+# cell, take at most MAX_DIGITS digits: no literal that int() converts is
+# refused, and no record or message holds a number its format cannot write.
 def _int_literal(tok: str, text: str, error: type[Exception] = ValueError) -> int:
     """int(tok), for a literal of expression, range or option `text`; refuses
-    more than MAX_LITERAL_DIGITS digits with `error` before converting."""
-    if len(tok) > MAX_LITERAL_DIGITS:
+    more than MAX_DIGITS digits with `error` before converting."""
+    if len(tok) > MAX_DIGITS:
         digits = sum(map(str.isdecimal, tok))  # int() also reads a sign, blanks and underscores
-        if digits > MAX_LITERAL_DIGITS:
-            raise error(f"a literal takes at most {MAX_LITERAL_DIGITS} digits, got {digits} in {text!r}")
+        if digits > MAX_DIGITS:
+            raise error(f"a literal takes at most {MAX_DIGITS} digits, got {digits} in {text!r}")
     return int(tok)
 
 
@@ -220,11 +211,11 @@ def compile_partition_spec(
     ValueError of the first failed check, unraised, and the set of names the
     function reads.  Bases and exponents may be expressions in the variables
     in `names` (e.g. '2^r,1^(d-2*r)').  Zero exponents drop the part;
-    negative exponents, non-positive parts, parts of more than
-    MAX_LITERAL_DIGITS digits, specs of more than MAX_PARTS parts and sums of
-    more than MAX_LITERAL_DIGITS digits are rejected.  A compile error in an
-    item is returned only when evaluation reaches that item, so the earlier
-    items' checks come first, item by item.
+    negative exponents, non-positive parts, parts of more than MAX_DIGITS
+    digits, specs of more than MAX_PARTS parts and sums of more than
+    MAX_DIGITS digits are rejected.  A compile error in an item is returned
+    only when evaluation reaches that item, so the earlier items' checks come
+    first, item by item.
 
     `grid` maps each name to the values it takes over one request.  When a
     name the spec does not read takes more than one, the values of the names
@@ -264,16 +255,16 @@ def compile_partition_spec(
                 return ValueError(f"partition item {item!r} has negative multiplicity {exp}")
             if exp > 0 and base < 1:
                 return ValueError(f"partition item {item!r} has non-positive part {base}")
-            if exp > 0 and base >= _TOO_LONG:
-                return ValueError(f"partition item {item!r} has a part of more than {MAX_LITERAL_DIGITS} digits")
+            if exp > 0 and too_long(base):
+                return ValueError(f"partition item {item!r} has a part of more than {MAX_DIGITS} digits")
             if len(parts) + exp > MAX_PARTS:
                 return ValueError(f"partition item {item!r} takes the partition past {MAX_PARTS} parts")
             parts.extend([base] * exp)
         if compile_error is not None:
             return compile_error
         mu = Partition(parts)
-        if mu.total >= _TOO_LONG:
-            return ValueError(f"partition spec {spec!r} sums to more than {MAX_LITERAL_DIGITS} digits")
+        if too_long(mu.total):
+            return ValueError(f"partition spec {spec!r} sums to more than {MAX_DIGITS} digits")
         return mu, _mu_text(mu)
 
     reads = frozenset(reads)
@@ -304,7 +295,7 @@ def compile_f_spec(
     g, r, d) and e and s, the length and the sum of the cell's partition: an
     integer expression over those names, or 'span=<expr>' for
     f = s - span - 1; and the set of names the function reads.  A compile
-    error, or a value of more than MAX_LITERAL_DIGITS digits, is returned,
+    error, or a value of more than MAX_DIGITS digits, is returned,
     unraised, when the function is called."""
     span = spec.startswith("span=")
     try:
@@ -315,9 +306,9 @@ def compile_f_spec(
 
     def f(env: dict[str, int]) -> int | ValueError:
         value = env["s"] - value_of(env) - 1 if span else value_of(env)
-        if -_TOO_LONG < value < _TOO_LONG:
-            return value
-        return ValueError(f"f spec {spec!r} gives a value of more than {MAX_LITERAL_DIGITS} digits")
+        if too_long(value):
+            return ValueError(f"f spec {spec!r} gives a value of more than {MAX_DIGITS} digits")
+        return value
     return f, (reads | {"s"} if span else reads)
 
 
@@ -364,7 +355,7 @@ def _cross_check(
     """A cross-checked result as (record, exit code).  `checked` returns
     (value, check); the record holds value as its result and check - value
     as its delta.  A nonzero delta or an IntegralityError gives a failure
-    status and exit code 3.  A value of more than MAX_LITERAL_DIGITS digits
+    status and exit code 3.  A value of more than MAX_DIGITS digits
     gives its ValueError, unraised, in place of the record."""
     try:
         value, check = checked()
@@ -372,8 +363,8 @@ def _cross_check(
         return (*inputs, None, paths, None, f"integrality violation: {exc}", None), 3
     delta = check - value
     code = 0 if delta == 0 else 3
-    if not -_TOO_LONG < value < _TOO_LONG:
-        return ValueError(f"the result has more than {MAX_LITERAL_DIGITS} digits"), code
+    if too_long(value):
+        return ValueError(f"the result has more than {MAX_DIGITS} digits"), code
     status = "ok" if delta == 0 else f"cross-check failed: {disagreement}"
     return (*inputs, value, paths, delta, status, verdict), code
 
@@ -399,7 +390,7 @@ def _cmd_cells(args):
     """count, dim, empty and sweep: the cells of a (g, r, d) grid in
     lexicographic order.  A cell that fails validation in its specs, in
     dejonq.count_error or in the kernel, or whose dimension or count has
-    more than MAX_LITERAL_DIGITS digits, gets that error as a value: a sweep
+    more than MAX_DIGITS digits, gets that error as a value: a sweep
     emits a `skipped: <message>` record, whose inputs show each spec's text
     until it evaluates, and a single command, the 1x1x1 grid, raises it.  A
     count is charged to the request only once count_error passes it.
@@ -414,7 +405,8 @@ def _cmd_cells(args):
         grid = (parse_range(args.g), parse_range(args.r), parse_range(args.d))
         cells = prod(values.stop - values.start for values in grid)  # len() overflows past sys.maxsize
         if cells > MAX_CELLS:
-            raise ValueError(f"a sweep takes at most {MAX_CELLS} cells, got {cells}")
+            shown = f"a count of more than {MAX_DIGITS} digits" if too_long(cells) else cells
+            raise ValueError(f"a sweep takes at most {MAX_CELLS} cells, got {shown}")
     else:
         grid = ((args.g,), (args.r,), (args.d,))
     what, names = args.what, ("g", "r", "d")
@@ -490,8 +482,8 @@ def _cmd_cells(args):
                 if isinstance(dim, ValueError):
                     if dim is not tail or not sweep:  # else the head's status names it
                         status = skipped(dim)
-                elif is_dim and not -_TOO_LONG < dim < _TOO_LONG:
-                    status = skipped(ValueError(f"the dimension has more than {MAX_LITERAL_DIGITS} digits"))
+                elif is_dim and too_long(dim):
+                    status = skipped(ValueError(f"the dimension has more than {MAX_DIGITS} digits"))
                 else:
                     record = (g, r, d, mu_text, f, dim if is_dim else dim < 0, ("dimension",), None, "ok",
                               "empty" if dim < 0 else "possible")
@@ -608,16 +600,18 @@ def _column(values: tuple, convert: Mapping[type, Callable], as_is: frozenset[ty
     return map(texts.__getitem__, values)
 
 
-# Records are converted a block at a time, so that only one block's columns
-# are held at once, and plain and CSV lines are written a block at a time.
+# Records are converted and written a block at a time, so that only one
+# block's columns are held at once.
 _BLOCK = 4096
 
 
-def _blocks(records: list[tuple], convert: Mapping[type, Callable], as_is: frozenset[type]) -> Iterator[Iterable[tuple]]:
-    """The records a block at a time, each block as the rows of what their
-    format writes, converted column by column (see `_column`)."""
+def _blocks(records: list[tuple], convert: Mapping[type, Callable], as_is: frozenset[type]) -> Iterator[tuple]:
+    """The records a block at a time, each block as one flat tuple of the
+    fields their format writes, record after record, converted column by
+    column (see `_column`)."""
     for start in range(0, len(records), _BLOCK):
-        yield zip(*[_column(values, convert, as_is) for values in zip(*records[start:start + _BLOCK])])
+        rows = zip(*[_column(values, convert, as_is) for values in zip(*records[start:start + _BLOCK])])
+        yield tuple(itertools.chain.from_iterable(rows))
 
 
 # Cached for good: 5 KEYS times 2 pads.
@@ -632,18 +626,19 @@ def _json_record_template(keys: tuple[str, ...], pad: str) -> str:
 
 def render(records, fmt: str, command: str, what: str) -> str:
     """The records of `command` in `fmt`, with the input keys of `what` (a
-    sweep's --what, else the command), so each format's layout is built once
-    from `KEYS` and `FIELDS`: json is json.dumps(records if a sweep else the
-    one record, indent=2) with each record's input values as an "inputs"
-    object and its paths as a list.  Its layout is derived from json.dumps
-    of a placeholder record, once per process, and each record is written
-    through that %-template, since the pure-Python encoder that json.dumps
-    uses for indented output costs more than the cells; csv is the csv
-    module's header and a row per record, plain a line per record, both of
-    `_CELL` strings, with CSV strings quoted by the csv module.  A block of
-    plain or CSV records is written at once, through its format's line
-    template repeated once per record.  Records are converted column by
-    column (see `_column`)."""
+    sweep's --what, else the command): json is json.dumps(records if a sweep
+    else the one record, indent=2) with each record's input values as an
+    "inputs" object and its paths as a list; csv is the csv module's header
+    and a row per record, plain a line per record, both of `_CELL` strings,
+    with CSV strings quoted by the csv module.  Each format's layout is built
+    once per call from `KEYS` and `FIELDS`: a head, a line %-template (JSON's
+    derived from json.dumps of a placeholder record, since the pure-Python
+    encoder that json.dumps uses for indented output costs more than the
+    cells), a separator, a tail and a leaf table.  Each block of records is
+    converted column by column (see `_column`) and written through the line
+    template repeated once per record, and the head and the tail are added to
+    the first and last blocks' texts, so that the joined body is not copied
+    again."""
     keys = KEYS[what]
     if fmt == "plain" and what == "identity":
         record = records[0]
@@ -652,26 +647,24 @@ def render(records, fmt: str, command: str, what: str) -> str:
         if passes != samples:
             line += f" ({samples - passes} failures)"
         return line + "\n"
+    width = len(keys) + len(FIELDS)
+    head = sep = tail = ""
     if fmt == "json":
         many = command == "sweep"
         pad = "  " if many else ""
-        template = _json_record_template(keys, pad)
-        leaf = {**_JSON_LEAF, tuple: lambda strings: json.dumps(strings, indent=2).replace("\n", f"\n{pad}  ")}
-        texts = list(map(template.__mod__, itertools.chain.from_iterable(_blocks(records, leaf, _JSON_AS_IS))))
-        if many:  # the list's brackets, added to its ends so that the joined body is not copied again
-            texts[0] = "[\n" + texts[0]
-            texts[-1] += "\n]"
-        texts[-1] += "\n"
-        return ",\n".join(texts)
-    width = len(keys) + len(FIELDS)
-    if fmt == "csv":
-        head, convert, as_is = _csv_line((*keys, *FIELDS)), _CSV, _CSV_AS_IS
-        line = ",".join(["%s"] * width) + "\n"
+        head, tail = ("[\n", "\n]\n") if many else ("", "\n")
+        line, sep = _json_record_template(keys, pad), ",\n"
+        convert = {**_JSON_LEAF, tuple: lambda strings: json.dumps(strings, indent=2).replace("\n", f"\n{pad}  ")}
+        as_is = _JSON_AS_IS
+    elif fmt == "csv":
+        head, line, convert, as_is = _csv_line((*keys, *FIELDS)), ",".join(["%s"] * width) + "\n", _CSV, _CSV_AS_IS
     else:
-        head, convert, as_is = "", _CELL, _CELL_AS_IS
         line = " ".join(f"{key}=%s" for key in (*keys, "result", "paths", "delta", "status", "verdict")) + "\n"
-    blocks = (tuple(itertools.chain.from_iterable(rows)) for rows in _blocks(records, convert, as_is))
-    return "".join([head, *(line * (len(fields) // width) % fields for fields in blocks)])
+        convert, as_is = _CELL, _CELL_AS_IS
+    texts = [sep.join([line] * (len(fields) // width)) % fields for fields in _blocks(records, convert, as_is)]
+    texts[0] = head + texts[0]
+    texts[-1] += tail
+    return sep.join(texts)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import ContractViolation, IntegralityError
-from .exact import Partition, binomial, elementary_symmetric, falling_factorial
+from .exact import MAX_DIGITS, Partition, binomial, elementary_symmetric, falling_factorial, too_long
 
 __all__ = [
     "CountResult",
@@ -81,11 +81,13 @@ def bracket(mu: Partition, g: int) -> int:
 
 def _shape_error(r: int, d: int, e: int, s: int) -> ContractViolation | None:
     """The first failed check of the finite-count shape |mu| = d and len(mu) =
-    d - r, shared by both routes, for a partition of length e and sum s."""
+    d - r, shared by both routes, for a partition of length e and sum s.  The
+    message names MAX_DIGITS in place of a d - r past it."""
     if s != d:
         return ContractViolation(f"|mu| = d violated: |mu|={s}, d={d}")
     if e != d - r:
-        return ContractViolation(f"len(mu) = d - r violated: len(mu)={e}, d-r={d - r}")
+        shown = f" has more than {MAX_DIGITS} digits" if too_long(d - r) else f"={d - r}"
+        return ContractViolation(f"len(mu) = d - r violated: len(mu)={e}, d-r{shown}")
     return None
 
 

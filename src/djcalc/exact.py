@@ -19,6 +19,16 @@ __all__ = [
     "Partition",
 ]
 
+# The most digits of an int that the interpreter converts to str by default
+# (CPython gh-95778): no record or message writes a number past it.
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
+
+
+def too_long(value: int) -> bool:
+    """Whether `value` has more than MAX_DIGITS digits."""
+    return not -_TOO_LONG < value < _TOO_LONG
+
 
 def falling_factorial(x: int, k: int) -> int:
     """x(x-1)...(x-k+1); defined for any integer x, k >= 0.  Empty product is 1."""

@@ -7,6 +7,12 @@ repository root, at the commit whose behaviour is the reference:
 
     PYTHONPATH=src python tests/cli_corpus.py
 
+To replay it without pytest, on any Python version, run
+
+    PYTHONPATH=src python tests/cli_corpus.py --replay
+
+which exits nonzero and prints the first entry that differs.
+
 The argv cover every subcommand in every format, every sweep `--what`, valid
 and invalid `--mu`/`--f` specs and ranges, skipped sweep rows, `--help` and
 argparse errors.  Entries that end in argparse (help text, usage errors) are
@@ -18,6 +24,7 @@ from the recording commit on purpose and which have tests of their own.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -83,6 +90,14 @@ def capture(argv: list[str]) -> dict:
     }
 
 
+def mismatches(entries: list[dict]):
+    """Each entry whose replay differs from it, with what the replay gave."""
+    for entry in entries:
+        got = capture(entry["argv"])
+        if got != entry:
+            yield entry, got
+
+
 def corpus_argv() -> list[list[str]]:
     rng = random.Random(20221014)
 
@@ -143,7 +158,24 @@ def corpus_argv() -> list[list[str]]:
     return argvs
 
 
+def replay() -> int:
+    """Replay the corpus, its argparse entries only on the Python version that
+    recorded them; print the first mismatch and return 1, or return 0."""
+    golden = json.loads(CORPUS.read_text())
+    argparse_too = list(sys.version_info[:2]) == golden["python"]
+    entries = [entry for entry in golden["entries"] if argparse_too or not entry["argparse"]]
+    for entry, got in mismatches(entries):
+        print(f"mismatch:\n  recorded {json.dumps(entry)}\n  replayed {json.dumps(got)}", file=sys.stderr)
+        return 1
+    print(f"replayed {len(entries)} of {len(golden['entries'])} entries byte-identically")
+    return 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Record the golden corpus, or replay it with --replay.")
+    parser.add_argument("--replay", action="store_true", help="replay the corpus instead of recording it")
+    if parser.parse_args().replay:
+        sys.exit(replay())
     entries = [capture(argv) for argv in corpus_argv()]
     lines = ",\n".join(json.dumps(entry) for entry in entries)
     CORPUS.write_text(f'{{"python": {list(sys.version_info[:2])},\n"entries": [\n{lines}\n]}}\n')

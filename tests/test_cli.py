@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from djcalc import bn, cli, dejonq, lls
 from djcalc.dejonq import CountResult
 from djcalc.errors import ContractViolation, IntegralityError
-from djcalc.exact import Partition
+from djcalc.exact import MAX_DIGITS, Partition
 
 
 def run(argv, capsys):
@@ -122,12 +122,12 @@ def test_eval_int_expr_nesting_limit():
 
 def test_literal_digit_bound():
     # the interpreter's default bound on int() of a string, so that every literal it parses is admitted
-    assert cli.MAX_LITERAL_DIGITS == 4300
-    at, past = "7" * cli.MAX_LITERAL_DIGITS, "7" * (cli.MAX_LITERAL_DIGITS + 1)
+    assert MAX_DIGITS == 4300
+    at, past = "7" * MAX_DIGITS, "7" * (MAX_DIGITS + 1)
     assert evaluate(f"{at}-{at}+r", {"r": 2}) == 2
     assert list(cli.parse_range(f"-{at}:-{at}")) == [-int(at)]
     assert list(cli.parse_range(f"{at[1:]}_7")) == [int(at)]  # an underscore is no digit
-    message = f"a literal takes at most {cli.MAX_LITERAL_DIGITS} digits, got {cli.MAX_LITERAL_DIGITS + 1} in"
+    message = f"a literal takes at most {MAX_DIGITS} digits, got {MAX_DIGITS + 1} in"
     for text in (f"r+{past}", f"-{past}"):
         with pytest.raises(ValueError) as info:
             evaluate(text, {"r": 2})
@@ -139,7 +139,7 @@ def test_literal_digit_bound():
 
 
 def test_long_literals_exit_2_naming_the_bound(capsys):
-    at, past = "1" * cli.MAX_LITERAL_DIGITS, "1" * (cli.MAX_LITERAL_DIGITS + 1)
+    at, past = "1" * MAX_DIGITS, "1" * (MAX_DIGITS + 1)
     cell = ["--g", "1", "--r", "1", "--d", "2"]
     expected = run(["dim", *cell, "--mu", "2", "--f", "1"], capsys)
     assert run(["dim", *cell, "--mu", f"{at}-{at}+2", "--f", "1"], capsys) == expected
@@ -148,14 +148,14 @@ def test_long_literals_exit_2_naming_the_bound(capsys):
                  ["sweep", "--g", f"0:{past}", "--r", "1", "--d", "2", "--mu", "2"]):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: a literal takes at most {cli.MAX_LITERAL_DIGITS} digits, got ")
+        assert out == "" and err.startswith(f"error: a literal takes at most {MAX_DIGITS} digits, got ")
         assert "set_int_max_str_digits" not in err
 
 
 def test_parts_and_f_values_take_the_literal_digit_bound(capsys):
-    nines = "9" * cli.MAX_LITERAL_DIGITS  # the largest value of at most MAX_LITERAL_DIGITS digits
-    part = f"partition item '2*g*{nines}+1' has a part of more than {cli.MAX_LITERAL_DIGITS} digits"
-    f = f"f spec 'g*{nines}*10+1' gives a value of more than {cli.MAX_LITERAL_DIGITS} digits"
+    nines = "9" * MAX_DIGITS  # the largest value of at most MAX_DIGITS digits
+    part = f"partition item '2*g*{nines}+1' has a part of more than {MAX_DIGITS} digits"
+    f = f"f spec 'g*{nines}*10+1' gives a value of more than {MAX_DIGITS} digits"
     # in a sweep the cell is skipped and the valid cells are still written
     code, out = run(["sweep", "--what", "dim", "--g", "0:2", "--r", "1", "--d", "2", "--mu", f"2*g*{nines}+1,1",
                      "--f", "1", "--format", "json"], capsys)
@@ -170,7 +170,7 @@ def test_parts_and_f_values_take_the_literal_digit_bound(capsys):
     for argv, message in ((["dim", *cell, "--mu", f"2*g*{nines}+1,1", "--f", "1"], part),
                           (["empty", *cell, "--mu", "1,1", "--f", f"g*{nines}*10+1"], f),
                           (["dim", *cell, "--mu", "1,1", f"--f=-{nines}-1"],
-                           f"f spec '-{nines}-1' gives a value of more than {cli.MAX_LITERAL_DIGITS} digits")):
+                           f"f spec '-{nines}-1' gives a value of more than {MAX_DIGITS} digits")):
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
     # the bound itself is admitted
@@ -182,9 +182,9 @@ def test_parts_and_f_values_take_the_literal_digit_bound(capsys):
 
 def test_a_partition_sum_past_the_digit_bound_skips_its_cell(capsys):
     # each part is within the bound, but 4,300 nines and a 1 sum to 10**4300
-    nines = "9" * cli.MAX_LITERAL_DIGITS
+    nines = "9" * MAX_DIGITS
     spec = f"{nines}^g,1"
-    message = f"partition spec {spec!r} sums to more than {cli.MAX_LITERAL_DIGITS} digits"
+    message = f"partition spec {spec!r} sums to more than {MAX_DIGITS} digits"
     for what, f, first in (("dim", ["--f", "1"], "ok"), ("count", [], "skipped: |mu| = d violated: |mu|=1, d=2")):
         code, out = run(["sweep", "--what", what, "--g", "0:1", "--r", "1", "--d", "2", "--mu", spec, *f,
                          "--format", "json"], capsys)
@@ -195,13 +195,16 @@ def test_a_partition_sum_past_the_digit_bound_skips_its_cell(capsys):
 
 
 def test_a_number_past_the_digit_bound_is_its_cells_error(capsys):
-    nines = "9" * cli.MAX_LITERAL_DIGITS  # 10**4300 - 1
+    nines = "9" * MAX_DIGITS  # 10**4300 - 1
     r_nines = nines[1:]  # 10**4299 - 1, whose rho has more than 4,300 digits
     cell = ["--g", "0:1", "--r", "1", "--d", "2", "--mu", nines, "--f", nines]
-    dimension = f"the dimension has more than {cli.MAX_LITERAL_DIGITS} digits"
-    rho = [f"rho({g},{r_nines},1) has more than {cli.MAX_LITERAL_DIGITS} digits and is < 0;"
+    dimension = f"the dimension has more than {MAX_DIGITS} digits"
+    rho = [f"rho({g},{r_nines},1) has more than {MAX_DIGITS} digits and is < 0;"
            " the dimension statement assumes rho >= 0" for g in (0, 1)]
-    result = f"the result has more than {cli.MAX_LITERAL_DIGITS} digits"
+    result = f"the result has more than {MAX_DIGITS} digits"
+    # r = -nines and d = nines are within the bound, and d - r is past it
+    shape = ["--g", "0:1", f"--r=-{nines}", "--d", nines, "--mu", nines]
+    d_r = f"len(mu) = d - r violated: len(mu)=1, d-r has more than {MAX_DIGITS} digits"
     a = 10**2500 + 1  # the count of (a, a, 1) at g = 2 has more than 4,300 digits
     count = ["--r", str(2 * a - 2), "--d", str(2 * a + 1), "--mu", f"{a},{a},1"]
     # in a sweep each such cell is skipped and the others are still written
@@ -211,6 +214,7 @@ def test_a_number_past_the_digit_bound_is_its_cells_error(capsys):
         (["sweep", "--what", "empty", "--g", "0:1", "--r", r_nines, "--d", "1", "--mu", "1", "--f", "0"],
          [f"skipped: {message}" for message in rho]),
         (["sweep", "--what", "count", "--g", "1:2", *count], ["skipped: " + result] * 2),
+        (["sweep", "--what", "count", *shape], [f"skipped: {d_r}"] * 2),
     ):
         code, out = run([*argv, "--format", "json"], capsys)
         assert code == 0
@@ -221,13 +225,16 @@ def test_a_number_past_the_digit_bound_is_its_cells_error(capsys):
         (["empty", "--g", "0", "--r", r_nines, "--d", "1", "--mu", "1", "--f", "0"], rho[0]),
         (["count", "--g", "2", *count], result),
         (["plucker", "--g", r_nines, "--r", r_nines, "--d", str(int(r_nines) + 2)], result),
+        (["count", "--g", "0", *shape[2:]], d_r),
+        (["sweep", "--what", "count", "--g", f"0:{nines}", "--r", "1", "--d", "2", "--mu", "2"],
+         f"a sweep takes at most {cli.MAX_CELLS} cells, got a count of more than {MAX_DIGITS} digits"),
     ):
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
     # a number of the bound's digits is written
     code, out = run(["dim", "--g", "0", "--r", "1", "--d", "2", "--mu", nines, "--f", f"{nines}-1"], capsys)
     assert code == 0 and f"result=-{nines[:-1]}5 paths=dimension delta= status=ok" in out
-    r, d = 10**cli.MAX_LITERAL_DIGITS - 2, 10**cli.MAX_LITERAL_DIGITS - 3  # rho(0, r, r - 1) = -(r + 1)
+    r, d = 10**MAX_DIGITS - 2, 10**MAX_DIGITS - 3  # rho(0, r, r - 1) = -(r + 1)
     assert cli.main(["empty", "--g", "0", "--r", str(r), "--d", str(d), "--mu", "1", "--f", "0"]) == 2
     assert capsys.readouterr().err == f"error: rho(0,{r},{d}) = -{nines} < 0; the dimension statement assumes rho >= 0\n"
 
@@ -245,7 +252,7 @@ INT_OPTIONS = [
 
 @pytest.mark.parametrize("argv, option", INT_OPTIONS, ids=[f"{argv[0]}{option}" for argv, option in INT_OPTIONS])
 def test_integer_options_take_the_literal_digit_bound(capsys, argv, option):
-    bound = cli.MAX_LITERAL_DIGITS
+    bound = MAX_DIGITS
     at, past = "1" * bound, "1" * (bound + 1)
     assert getattr(cli.build_parser(argv[0]).parse_args([*argv, option, at]), option[2:]) == int(at)
     assert cli.main([*argv, option, at]) in (0, 2)  # the value reaches the command, which may refuse it

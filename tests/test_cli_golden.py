@@ -13,20 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cli_corpus import CORPUS, capture
+from cli_corpus import CORPUS, capture, mismatches
 from djcalc import cli
 
 GOLDEN = json.loads(CORPUS.read_text())
 
 
 def replay(argparse_exit):
-    mismatches = []
-    for entry in GOLDEN["entries"]:
-        if entry["argparse"] is argparse_exit:
-            got = capture(entry["argv"])
-            if got != entry:
-                mismatches.append((entry, got))
-    assert not mismatches, f"{len(mismatches)} invocations changed; first: {mismatches[0]}"
+    changed = list(mismatches([entry for entry in GOLDEN["entries"] if entry["argparse"] is argparse_exit]))
+    assert not changed, f"{len(changed)} invocations changed; first: {changed[0]}"
 
 
 def test_cli_corpus_replays_byte_identically():
