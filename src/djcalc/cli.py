@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from math import prod
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sized
+from typing import Callable, Container, Iterable, Mapping, Sized
 
 from . import bn, dejonq, lls
 from .errors import IntegralityError
@@ -334,7 +334,8 @@ FIELDS = ("result", "paths", "cross_check_delta", "status", "verdict")
 
 
 def _mu_text(mu: Partition) -> str:
-    return ",".join(str(a) for a in mu.parts)
+    texts = {a: str(a) for a in set(mu.parts)}  # each distinct part converted once
+    return ",".join(map(texts.__getitem__, mu.parts))
 
 
 def _charge(work: int, g: int, r: int, d: int, e: int) -> int:
@@ -398,8 +399,8 @@ def _cmd_cells(args):
     A cell's work is split in two: its head (see `head`), which g enters
     only through a spec that reads g, and its tail, which reads g:
     count_error and the count, or the kernel's half that reads g.  When
-    neither spec reads g and g takes several values, the heads of the first
-    g are kept and every other g reuses them."""
+    neither spec reads g and g takes several values, every g takes the heads
+    of the first g, each built the first time a cell reaches it."""
     sweep = args.command == "sweep"
     if sweep:
         grid = (parse_range(args.g), parse_range(args.r), parse_range(args.d))
@@ -416,8 +417,8 @@ def _cmd_cells(args):
     f_reads = frozenset()
     if not count:
         f_of, f_reads = compile_f_spec(f_spec, names)
-    # Unless --f reads g, --mu is evaluated at the first g alone (see `keep`),
-    # so its memo needs only the values the other names take.
+    # Unless --f reads g, --mu is evaluated at the first g alone (see
+    # `shared`), so its memo needs only the values the other names take.
     mu_of, reads = compile_partition_spec(mu_spec, names, {"g": gs if "g" in f_reads else gs[:1], "r": rs, "d": ds})
     reads |= f_reads
 
@@ -427,76 +428,65 @@ def _cmd_cells(args):
         return f"skipped: {error}"
 
     def head(g: int, r: int, d: int) -> tuple:
-        """(r, d, mu field, f field, what the tail takes, status): the tail
-        takes the partition of a count, or the kernel's half that does not
-        read g, with its skip status when that is an error.  A spec's error
-        leaves the tail nothing, and its skip status is the cell's."""
+        """(mu field, f field, what the tail takes, status): the tail takes
+        the partition of a count, or the kernel's half that does not read g,
+        with its skip status when that is an error.  A spec's error leaves
+        the tail nothing, and its skip status is the cell's."""
         env = {"g": g, "r": r, "d": d}
         entry = mu_of(env)
         if isinstance(entry, ValueError):
-            return r, d, mu_spec, f_spec, None, skipped(entry)
+            return mu_spec, f_spec, None, skipped(entry)
         mu, mu_text = entry
         if count:
-            return r, d, mu_text, None, mu, None
+            return mu_text, None, mu, None
         env["e"], env["s"] = e, s = mu.length, mu.total
         f = f_of(env)
         if isinstance(f, ValueError):
-            return r, d, mu_text, f_spec, None, skipped(f)
+            return mu_text, f_spec, None, skipped(f)
         fixed = bn.fixed_dim_or_error(r, d, e, s, f)
-        return r, d, mu_text, f, fixed, (f"skipped: {fixed}" if isinstance(fixed, ValueError) else None)
+        return mu_text, f, fixed, (f"skipped: {fixed}" if isinstance(fixed, ValueError) else None)
 
-    # The heads of the first g, kept as they are reached, so that the text
-    # bound stops a request before it builds the heads past it.
-    kept: list[tuple] = []
-
-    def keep(cell: tuple) -> tuple:
-        kept.append(cell)
-        return cell
-
+    first = gs[0]
     shared = len(gs) > 1 and "g" not in reads
+    if shared:  # built as cells reach them, so the text bound stops a request before the heads past it
+        head = cache(head)
     records = []
     append = records.append
     code = text = work = 0
-    for g in gs:
-        if kept:
-            heads = kept
-        else:
-            heads = itertools.starmap(head, itertools.product((g,), rs, ds))
-            if shared:
-                heads = map(keep, heads)
-        for r, d, mu_text, f, tail, status in heads:
-            if tail is None:  # a spec's error, which status names
-                pass
-            elif count:
-                error = dejonq.count_error(g, r, d, tail.length, tail.total)
-                if error is None:
-                    work = _charge(work, g, r, d, tail.length)
-                    record, cell_code = _count_record(g, r, d, tail, mu_text)
-                    code = max(code, cell_code)
-                    if isinstance(record, ValueError):
-                        status = skipped(record)
-                else:
-                    status = skipped(error)
+    for g, r, d in itertools.product(gs, rs, ds):
+        mu_text, f, tail, status = head(first if shared else g, r, d)
+        if tail is None:  # a spec's error, which status names
+            pass
+        elif count:
+            error = dejonq.count_error(g, r, d, tail.length, tail.total)
+            if error is None:
+                work = _charge(work, g, r, d, tail.length)
+                record, cell_code = _count_record(g, r, d, tail, mu_text)
+                code = max(code, cell_code)
+                if isinstance(record, ValueError):
+                    status = skipped(record)
             else:
-                dim = bn.general_dim_or_error(g, r, d, tail)
-                if isinstance(dim, ValueError):
-                    if dim is not tail or not sweep:  # else the head's status names it
-                        status = skipped(dim)
-                elif is_dim and too_long(dim):
-                    status = skipped(ValueError(f"the dimension has more than {MAX_DIGITS} digits"))
-                else:
-                    record = (g, r, d, mu_text, f, dim if is_dim else dim < 0, ("dimension",), None, "ok",
-                              "empty" if dim < 0 else "possible")
-            if status is not None:
-                record = (g, r, d, mu_text, None, (), None, status, None) if count else (
-                    g, r, d, mu_text, f, None, (), None, status, None)
-            text += len(mu_text)
-            if text > MAX_MU_TEXT:
-                raise ValueError(
-                    f"a request writes at most {MAX_MU_TEXT} characters of partition text,"
-                    f" passed at g={g}, r={r}, d={d}"
-                )
-            append(record)
+                status = skipped(error)
+        else:
+            dim = bn.general_dim_or_error(g, r, d, tail)
+            if isinstance(dim, ValueError):
+                if dim is not tail or not sweep:  # else the head's status names it
+                    status = skipped(dim)
+            elif is_dim and too_long(dim):
+                status = skipped(ValueError(f"the dimension has more than {MAX_DIGITS} digits"))
+            else:
+                record = (g, r, d, mu_text, f, dim if is_dim else dim < 0, ("dimension",), None, "ok",
+                          "empty" if dim < 0 else "possible")
+        if status is not None:
+            record = (g, r, d, mu_text, None, (), None, status, None) if count else (
+                g, r, d, mu_text, f, None, (), None, status, None)
+        text += len(mu_text)
+        if text > MAX_MU_TEXT:
+            raise ValueError(
+                f"a request writes at most {MAX_MU_TEXT} characters of partition text,"
+                f" passed at g={g}, r={r}, d={d}"
+            )
+        append(record)
     return records, code
 
 
@@ -605,15 +595,6 @@ def _column(values: tuple, convert: Mapping[type, Callable], as_is: frozenset[ty
 _BLOCK = 4096
 
 
-def _blocks(records: list[tuple], convert: Mapping[type, Callable], as_is: frozenset[type]) -> Iterator[tuple]:
-    """The records a block at a time, each block as one flat tuple of the
-    fields their format writes, record after record, converted column by
-    column (see `_column`)."""
-    for start in range(0, len(records), _BLOCK):
-        rows = zip(*[_column(values, convert, as_is) for values in zip(*records[start:start + _BLOCK])])
-        yield tuple(itertools.chain.from_iterable(rows))
-
-
 # Cached for good: 5 KEYS times 2 pads.
 @cache
 def _json_record_template(keys: tuple[str, ...], pad: str) -> str:
@@ -661,7 +642,14 @@ def render(records, fmt: str, command: str, what: str) -> str:
     else:
         line = " ".join(f"{key}=%s" for key in (*keys, "result", "paths", "delta", "status", "verdict")) + "\n"
         convert, as_is = _CELL, _CELL_AS_IS
-    texts = [sep.join([line] * (len(fields) // width)) % fields for fields in _blocks(records, convert, as_is)]
+    texts = []
+    for start in range(0, len(records), _BLOCK):
+        block = records[start:start + _BLOCK]
+        fields = [None] * (len(block) * width)  # the block's fields, record after record
+        for i, values in enumerate(zip(*block)):
+            fields[i::width] = _column(values, convert, as_is)
+        texts.append(sep.join([line] * len(block)) % tuple(fields))
+    del block, fields, values  # else the last block's are held through the join below
     texts[0] = head + texts[0]
     texts[-1] += tail
     return sep.join(texts)

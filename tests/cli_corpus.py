@@ -11,7 +11,15 @@ To replay it without pytest, on any Python version, run
 
     PYTHONPATH=src python tests/cli_corpus.py --replay
 
-which exits nonzero and prints the first entry that differs.
+which exits nonzero and prints the first entry that differs.  To compare
+this tree with another checkout of the repository, such as a `git archive`
+of the parent commit, run
+
+    PYTHONPATH=src python tests/cli_corpus.py --against <checkout>
+
+which draws seeded random requests from the tables below, runs them here
+and, in one child process, against `<checkout>/src`, and exits nonzero at
+the first request whose exit code, stdout digest or stderr differs.
 
 The argv cover every subcommand in every format, every sweep `--what`, valid
 and invalid `--mu`/`--f` specs and ranges, skipped sweep rows, `--help` and
@@ -30,6 +38,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -96,6 +105,61 @@ def mismatches(entries: list[dict]):
         got = capture(entry["argv"])
         if got != entry:
             yield entry, got
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """A request drawn from the tables above: a command at one of TRIPLES, or
+    a sweep over ranges whose ends are values of TRIPLES (at most 280 cells)."""
+    command = rng.choice(("count", "dim", "empty", "plucker", "identity", "sweep"))
+    if command == "identity":
+        argv = ["identity", "--samples", str(rng.randint(0, 50)), f"--seed={rng.randint(0, 9)}"]
+    else:
+        if command == "sweep":
+            what = rng.choice(("count", "dim", "empty"))
+            argv = ["sweep", "--what", what]
+            grd = [":".join(map(str, sorted(rng.choices(values, k=2)))) for values in zip(*TRIPLES)]
+        else:
+            what, argv, grd = command, [command], rng.choice(TRIPLES)
+        argv += [f"--{name}={value}" for name, value in zip("grd", grd)]
+        if what != "plucker":
+            argv += ["--mu", rng.choice(MU_SPECS)]
+        if what in ("dim", "empty"):
+            argv += ["--f", rng.choice(F_SPECS)]
+    return argv + rng.choice(FORMATS)
+
+
+# The child process of `against`: captures each argv read from stdin with the
+# djcalc on its path, and writes where that djcalc lives and the captures.
+_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from cli_corpus import capture, cli
+json.dump({"cli": cli.__file__, "entries": [capture(argv) for argv in json.load(sys.stdin)]}, sys.stdout)
+"""
+
+
+def against(checkout: Path, requests: int = 3000) -> int:
+    """Run `requests` seeded random requests here and against `checkout`;
+    print the first that differs and return 1, or return 0."""
+    rng = random.Random(0)
+    argvs = [random_argv(rng) for _ in range(requests)]
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(Path(__file__).resolve().parent)], input=json.dumps(argvs),
+        stdout=subprocess.PIPE, text=True, check=True, cwd=checkout,
+        env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+    )
+    theirs = json.loads(child.stdout)
+    if not Path(theirs["cli"]).resolve().is_relative_to(checkout.resolve()):
+        print(f"the child ran {theirs['cli']}, not the djcalc of {checkout}", file=sys.stderr)
+        return 1
+    for argv, entry in zip(argvs, theirs["entries"]):
+        got = capture(argv)
+        if got != entry:
+            print(f"mismatch:\n  {checkout} gave {json.dumps(entry)}\n  this tree gave {json.dumps(got)}",
+                  file=sys.stderr)
+            return 1
+    print(f"{requests} requests gave the same exit code, stdout and stderr here and in {checkout}")
+    return 0
 
 
 def corpus_argv() -> list[list[str]]:
@@ -172,10 +236,18 @@ def replay() -> int:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Record the golden corpus, or replay it with --replay.")
-    parser.add_argument("--replay", action="store_true", help="replay the corpus instead of recording it")
-    if parser.parse_args().replay:
+    parser = argparse.ArgumentParser(
+        description="Record the golden corpus, replay it with --replay, or compare with a checkout with --against."
+    )
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--replay", action="store_true", help="replay the corpus instead of recording it")
+    mode.add_argument("--against", type=Path, metavar="CHECKOUT",
+                      help="run random requests here and against CHECKOUT/src instead of recording")
+    options = parser.parse_args()
+    if options.replay:
         sys.exit(replay())
+    if options.against:
+        sys.exit(against(options.against))
     entries = [capture(argv) for argv in corpus_argv()]
     lines = ",\n".join(json.dumps(entry) for entry in entries)
     CORPUS.write_text(f'{{"python": {list(sys.version_info[:2])},\n"entries": [\n{lines}\n]}}\n')

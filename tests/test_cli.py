@@ -1125,6 +1125,20 @@ def test_sweep_partition_text_limit_admits_the_cap_sweep():
     assert text == 2_900_000 <= cli.MAX_MU_TEXT
 
 
+def test_partition_text_converts_each_distinct_part_once():
+    # a 4,000-digit part repeated 4,000 times took a second to write when
+    # each part was converted
+    converted = []
+
+    class Part(int):
+        def __str__(self):
+            converted.append(int(self))
+            return int.__repr__(self)
+
+    mu = Partition([Part(7)] * 1000 + [Part(3)] * 2)
+    assert cli._mu_text(mu) == ",".join(["7"] * 1000 + ["3"] * 2)
+    assert sorted(converted) == [3, 7]
+
 
 def recording_specs(monkeypatch):
     """The (g, r, d) of each evaluation of each spec of a request, and the

@@ -5,6 +5,7 @@ import argparse
 import io
 import itertools
 import json
+import shutil
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cli_corpus import CORPUS, capture, mismatches
+from cli_corpus import CORPUS, against, capture, mismatches
 from djcalc import cli
 
 GOLDEN = json.loads(CORPUS.read_text())
@@ -34,6 +35,18 @@ def test_cli_corpus_replays_byte_identically():
 )
 def test_cli_corpus_argparse_output_replays_byte_identically():
     replay(argparse_exit=True)
+
+
+def test_against_finds_a_one_byte_difference_in_a_checkout(tmp_path, capsys):
+    root = CORPUS.parent.parent
+    assert against(root, requests=60) == 0
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    changed = tmp_path / "src" / "djcalc" / "cli.py"
+    text = changed.read_text()
+    assert text.count('f"error: {exc}"') == 1
+    changed.write_text(text.replace('f"error: {exc}"', 'f"error:  {exc}"'))
+    assert against(tmp_path, requests=60) == 1
+    assert capsys.readouterr().err.startswith("mismatch:")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ and against two independent oracles: full series expansion and subset summation.
 
 import random
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -102,6 +103,16 @@ def small_partitions(max_len, max_part):
             yield Partition(parts)
 
 
+def partitions_of(n, largest=None):
+    """Every partition of n into parts of at most `largest`, as tuples."""
+    if n == 0:
+        yield ()
+        return
+    for a in range(min(n, largest or n), 0, -1):
+        for rest in partitions_of(n - a, a):
+            yield (a, *rest)
+
+
 # ---------------------------------------------------------------------------
 # bracket route
 # ---------------------------------------------------------------------------
@@ -165,6 +176,38 @@ def test_bracket_equals_coefficient(parts, g):
     d = mu.total
     r = d - mu.length
     assert bracket(mu, g) == coefficient_count(g, r, d, mu) == subset_sum_count(g, r, d, mu)
+
+
+# ---------------------------------------------------------------------------
+# certificate: for a fixed mu (d = |mu|, r = d - e) each route is a polynomial
+# in g of degree at most e, and so is subset_sum_count, so agreement at
+# g = 0..e is agreement at every g
+# ---------------------------------------------------------------------------
+
+ROUTES = {
+    "coefficient": lambda g, mu: coefficient_count(g, mu.total - mu.length, mu.total, mu),
+    "bracket": lambda g, mu: bracket(mu, g),
+}
+
+# every partition with |mu| <= 12: 271 of them
+CERTIFIED = [Partition(parts) for n in range(1, 13) for parts in partitions_of(n)]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_each_route_has_degree_at_most_e_in_g(route):
+    count = ROUTES[route]
+    for mu in CERTIFIED:
+        e = mu.length
+        # the (e+1)-th finite difference over g = 0..e+1
+        assert sum((-1) ** j * comb(e + 1, j) * count(g, mu) for j, g in enumerate(range(e + 2))) == 0, mu
+
+
+def test_both_routes_agree_with_subset_summation_at_every_g():
+    for mu in CERTIFIED:
+        d = mu.total
+        for g in range(mu.length + 1):
+            expected = subset_sum_count(g, d - mu.length, d, mu)
+            assert [count(g, mu) for count in ROUTES.values()] == [expected] * 2, (mu, g)
 
 
 def test_coefficient_count_equals_bracket_at_large_length():
