@@ -76,9 +76,11 @@ MAX_MU_TEXT = 10_000_000
 
 # The most work the counts of one request take, as the sum of (e+5)^3 over
 # its counts of e parts each; checked before each count runs.  Both routes
-# of a count took about 38 to 78 ns per unit from 1 to 526 parts on a
-# shared 2-vCPU VM with Python 3.11, so a request at the bound runs for
-# about 12 s at most.  A single count takes at most 526 parts.
+# of a count with g > e took about 38 to 78 ns per unit from 1 to 526 parts
+# on a shared 2-vCPU VM with Python 3.11, so a request at the bound runs for
+# about 12 s at most.  A count with 0 <= g <= e evaluates one term of each
+# route's sum and costs far less, so the worst admitted counts have g > e.
+# A single count takes at most 526 parts.
 MAX_COUNT_WORK = 150_000_000
 
 # The most samples `identity` draws: well under a second of proof_identity calls.

@@ -13,6 +13,10 @@ in de Jonquieres form (ACGH I, Ch. VIII Sec. 5), in O(e^2) multiplications, with
 e_k(a) expanded over the multiplicity profile rather than by the bracket route's
 `elementary_symmetric`.  The two routes share no code beyond integer
 multiplication (`math.prod`), which makes their agreement a meaningful check.
+
+For 0 <= g <= e = len(mu) all but one term of each route's sum vanish, and
+each route evaluates only that term, prod(a) * g! * (e-g)! * e_g(a), through
+its own code; for g > e each evaluates its full sum.
 """
 
 from __future__ import annotations
@@ -63,6 +67,9 @@ def bracket(mu: Partition, g: int) -> int:
     which equals the classical alternating-fraction expression wherever the
     latter's denominators g-e+k are nonzero (the prefactor g!/(g-e-1)! is the
     product of all of them) and extends it by cancellation elsewhere.
+
+    When g <= e the range [g-e, g] holds 0, so a term's product is 0 unless
+    it skips 0, that is unless k = e - g: only that term is evaluated.
     """
     if mu.length == 0:
         raise ContractViolation("bracket requires a nonempty partition")
@@ -72,7 +79,7 @@ def bracket(mu: Partition, g: int) -> int:
     e = mu.length
     lo = g - e
     total = 0
-    for k in range(e + 1):
+    for k in (e - g,) if g <= e else range(e + 1):
         skip = lo + k
         term = elementary_symmetric(parts, e - k) * prod(range(lo, skip)) * prod(range(skip + 1, g + 1))
         total += -term if k % 2 else term
@@ -110,6 +117,9 @@ def coefficient_count(g: int, r: int, d: int, mu: Partition) -> int:
         prod(a) * sum_{k=0}^{e} ff(g,k) * ff(d-r-g, e-k) * e_k(a),
 
     with e_k(a) read off prod_v (1 + v t)^(n_v), whose rows are C(n_v, j) * v^j.
+
+    When g <= e, ff(g, k) is 0 for k > g and ff(e-g, e-k) is 0 for k < g, so
+    only the term k = g is evaluated.
     """
     e = mu.length
     error = count_error(g, r, d, e, mu.total)
@@ -126,7 +136,8 @@ def coefficient_count(g: int, r: int, d: int, mu: Partition) -> int:
                 out[i + j] += x * y
         esym = out
     return prod_a * sum(
-        falling_factorial(g, k) * falling_factorial(d - r - g, e - k) * esym[k] for k in range(e + 1)
+        falling_factorial(g, k) * falling_factorial(d - r - g, e - k) * esym[k]
+        for k in ((g,) if g <= e else range(e + 1))
     )
 
 

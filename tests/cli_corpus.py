@@ -68,6 +68,22 @@ F_SPECS = (
 
 TRIPLES = [(g, r, d) for g in (-1, 0, 1, 3, 4, 8) for r in (0, 1, 2, 3) for d in (0, 1, 2, 3, 4, 5, 6)]
 
+
+def _shaped_cells(rng: random.Random, cells: int) -> list[tuple[int, int, int, str]]:
+    """`cells` single cells (g, r, d, mu) of the count shape: each mu is a drawn
+    partition of at most 40 parts, d = |mu|, r = d - len(mu), and g is drawn
+    from -2..2 len(mu) + 2, so it falls on both sides of len(mu)."""
+    out = []
+    for _ in range(cells):
+        parts = [rng.randint(1, 5) for _ in range(rng.randint(1, 40))]
+        e, d = len(parts), sum(parts)
+        mu = ",".join(f"{v}^{parts.count(v)}" for v in sorted(set(parts), reverse=True))
+        out.append((rng.randint(-2, 2 * e + 2), d - e, d, mu))
+    return out
+
+
+CELLS = _shaped_cells(random.Random(2022), 200)
+
 SWEEP_RANGES = (
     ("0:2", "1:2", "2:6"),
     ("0", "0:2", "1:4"),
@@ -108,8 +124,9 @@ def mismatches(entries: list[dict]):
 
 
 def random_argv(rng: random.Random) -> list[str]:
-    """A request drawn from the tables above: a command at one of TRIPLES, or
-    a sweep over ranges whose ends are values of TRIPLES (at most 280 cells)."""
+    """A request drawn from the tables above: a command at one of TRIPLES, a
+    count, dim or empty at one of CELLS half of the time, or a sweep over
+    ranges whose ends are values of TRIPLES (at most 280 cells)."""
     command = rng.choice(("count", "dim", "empty", "plucker", "identity", "sweep"))
     if command == "identity":
         argv = ["identity", "--samples", str(rng.randint(0, 50)), f"--seed={rng.randint(0, 9)}"]
@@ -118,11 +135,14 @@ def random_argv(rng: random.Random) -> list[str]:
             what = rng.choice(("count", "dim", "empty"))
             argv = ["sweep", "--what", what]
             grd = [":".join(map(str, sorted(rng.choices(values, k=2)))) for values in zip(*TRIPLES)]
+            mu = rng.choice(MU_SPECS)
+        elif command != "plucker" and rng.random() < 0.5:
+            what, argv, (*grd, mu) = command, [command], rng.choice(CELLS)
         else:
-            what, argv, grd = command, [command], rng.choice(TRIPLES)
+            what, argv, grd, mu = command, [command], rng.choice(TRIPLES), rng.choice(MU_SPECS)
         argv += [f"--{name}={value}" for name, value in zip("grd", grd)]
         if what != "plucker":
-            argv += ["--mu", rng.choice(MU_SPECS)]
+            argv += ["--mu", mu]
         if what in ("dim", "empty"):
             argv += ["--f", rng.choice(F_SPECS)]
     return argv + rng.choice(FORMATS)

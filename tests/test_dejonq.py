@@ -179,9 +179,12 @@ def test_bracket_equals_coefficient(parts, g):
 
 
 # ---------------------------------------------------------------------------
-# certificate: for a fixed mu (d = |mu|, r = d - e) each route is a polynomial
-# in g of degree at most e, and so is subset_sum_count, so agreement at
-# g = 0..e is agreement at every g
+# certificate: for a fixed mu (d = |mu|, r = d - e) each route evaluates one
+# term when 0 <= g <= e and its full sum when g > e, so each branch is
+# certified on its own.  The first holds only g = 0..e, where both routes are
+# checked at every g.  On the second each route is a polynomial in g of degree
+# at most e, and so is subset_sum_count, so agreement at g = e+1..2e+1 is
+# agreement at every g > e.
 # ---------------------------------------------------------------------------
 
 ROUTES = {
@@ -193,13 +196,19 @@ ROUTES = {
 CERTIFIED = [Partition(parts) for n in range(1, 13) for parts in partitions_of(n)]
 
 
+def finite_difference(values):
+    """The n-th finite difference of n+1 values at consecutive g: 0 when they
+    lie on a polynomial of degree less than n."""
+    n = len(values) - 1
+    return sum((-1) ** j * comb(n, j) * value for j, value in enumerate(values))
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_each_route_has_degree_at_most_e_in_g(route):
     count = ROUTES[route]
     for mu in CERTIFIED:
         e = mu.length
-        # the (e+1)-th finite difference over g = 0..e+1
-        assert sum((-1) ** j * comb(e + 1, j) * count(g, mu) for j, g in enumerate(range(e + 2))) == 0, mu
+        assert finite_difference([count(g, mu) for g in range(e + 2)]) == 0, mu
 
 
 def test_both_routes_agree_with_subset_summation_at_every_g():
@@ -208,6 +217,45 @@ def test_both_routes_agree_with_subset_summation_at_every_g():
         for g in range(mu.length + 1):
             expected = subset_sum_count(g, d - mu.length, d, mu)
             assert [count(g, mu) for count in ROUTES.values()] == [expected] * 2, (mu, g)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_each_route_has_degree_at_most_e_in_g_past_e(route):
+    count = ROUTES[route]
+    for mu in CERTIFIED:
+        e = mu.length
+        assert finite_difference([count(g, mu) for g in range(e + 1, 2 * e + 3)]) == 0, mu
+
+
+def test_both_routes_agree_with_subset_summation_past_e():
+    for mu in CERTIFIED:
+        d = mu.total
+        e = mu.length
+        for g in range(e + 1, 2 * e + 2):
+            expected = subset_sum_count(g, d - e, d, mu)
+            assert [count(g, mu) for count in ROUTES.values()] == [expected] * 2, (mu, g)
+
+
+@pytest.mark.parametrize(
+    ("route", "primitive", "per_term"), [("bracket", "elementary_symmetric", 1), ("coefficient", "falling_factorial", 2)]
+)
+def test_each_route_evaluates_one_term_when_g_is_at_most_e(monkeypatch, route, primitive, per_term):
+    calls = []
+    original = getattr(djcalc.dejonq, primitive)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(djcalc.dejonq, primitive, counting)
+    mu = Partition([3, 2, 2, 1, 1, 1])
+    e = mu.length
+    per_g = []
+    for g in range(2 * e + 2):
+        calls.clear()
+        ROUTES[route](g, mu)
+        per_g.append(len(calls))
+    assert per_g == [per_term] * (e + 1) + [per_term * (e + 1)] * (e + 1)
 
 
 def test_coefficient_count_equals_bracket_at_large_length():
@@ -315,6 +363,33 @@ def test_double_point_agrees_with_dj_count():
             for d in range(2 * r, 11):
                 mu = Partition((2,) * r + (1,) * (d - 2 * r))
                 assert dj_count(g, r, d, mu).value == double_point_count(g, r, d), (g, r, d)
+
+
+# certificate for the closed forms: for each (r, d) with r <= 6 and d <= 20,
+# dj_count at the family's partition is checked at every g in 0..e, e = d - r.
+# Past e it is a polynomial in g of degree at most e, and each closed form is
+# one of degree at most its stated degree (r or 1, each at most e), so
+# agreement at g = e+1..2e+1 is agreement at every g > e.
+CLOSED_FORMS = {
+    "double_point": (double_point_count, lambda r: r, lambda r, d: (2,) * r + (1,) * (d - 2 * r), lambda r: 2 * r),
+    "plucker": (plucker_total, lambda r: 1, lambda r, d: (r + 1,) + (1,) * (d - r - 1), lambda r: r + 1),
+}
+
+
+@pytest.mark.parametrize("family", CLOSED_FORMS)
+def test_closed_form_agrees_with_dj_count_at_every_g(family):
+    closed_form, degree, parts, least_d = CLOSED_FORMS[family]
+    for r in range(1, 7):
+        for d in range(least_d(r), 21):
+            e = d - r
+            assert degree(r) <= e
+            assert finite_difference([closed_form(g, r, d) for g in range(degree(r) + 2)]) == 0, (r, d)
+            expected = [closed_form(g, r, d) for g in range(2 * e + 3)]
+            mu = Partition(parts(r, d))
+            for path in ("coefficient", "bracket"):
+                counts = [dj_count(g, r, d, mu, path).value for g in range(2 * e + 3)]
+                assert finite_difference(counts[e + 1:]) == 0, (r, d, path)
+                assert counts == expected, (r, d, path)
 
 
 def test_plucker_total_examples():
