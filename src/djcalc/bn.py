@@ -31,8 +31,6 @@ __all__ = [
     "rho",
     "rho_raw",
     "rho_adjusted",
-    "expected_dim",
-    "expected_dim_or_error",
     "fixed_dim_or_error",
     "general_dim_or_error",
     "expected_dim_sigma",
@@ -47,8 +45,8 @@ __all__ = [
 ]
 
 
-# The checks of SeriesParams and DJProblem, shared with the expected_dim
-# kernel: each returns the error of its first failed check, unraised, or
+# The checks of SeriesParams and DJProblem, shared with the integer kernel's
+# two halves: each returns the error of its first failed check, unraised, or
 # None.  The genus check is g < 0, and _genus_error its error.
 def _genus_error(g: int) -> ValueError:
     return ValueError(f"genus must be >= 0, got g={g}")
@@ -129,9 +127,10 @@ def rho_adjusted(params: SeriesParams, alpha: RamificationSequence) -> int:
 
 
 def fixed_dim_or_error(r: int, d: int, e: int, s: int, f: int) -> int | ValueError:
-    """The half of expected_dim_or_error that does not read g: e - f(r+1-s+f)
-    for a partition of length e and sum s, or the error of the first failed
-    check of r, d (SeriesParams) and f (DJProblem), unraised."""
+    """The half of the integer kernel that does not read g: the first failed
+    check of r, d (as SeriesParams checks them) and f (as DJProblem does),
+    unraised, else e - f(r+1-s+f), the dimension for one fixed series of a
+    partition of length e and sum s."""
     error = _rank_degree_error(r, d) or _f_error(r, s, f)
     if error is not None:
         return error
@@ -139,11 +138,13 @@ def fixed_dim_or_error(r: int, d: int, e: int, s: int, f: int) -> int | ValueErr
 
 
 def general_dim_or_error(g: int, r: int, d: int, fixed: int | ValueError) -> int | ValueError:
-    """The half of expected_dim_or_error that reads g, given `fixed`, what
-    fixed_dim_or_error returns for (r, d): the genus check's error, else
-    `fixed` itself when it is an error, else the HypothesisViolation of
+    """The half of the integer kernel that reads g, given `fixed`, the
+    dimension for one fixed series or its error: the genus check's error,
+    else `fixed` itself when it is an error, else the HypothesisViolation of
     rho < 0, which names MAX_DIGITS in place of a rho past it, else
-    rho + fixed."""
+    rho + fixed, the dimension on a general curve.  Applied to what
+    fixed_dim_or_error returns, it makes the checks of SeriesParams, then of
+    DJProblem, then rho >= 0, in that order."""
     if g < 0:
         return _genus_error(g)
     if isinstance(fixed, ValueError):
@@ -155,30 +156,15 @@ def general_dim_or_error(g: int, r: int, d: int, fixed: int | ValueError) -> int
     return rho_value + fixed
 
 
-def expected_dim_or_error(g: int, r: int, d: int, e: int, s: int, f: int) -> int | ValueError:
-    """rho + e - f(r+1-s+f) for a partition of length e and sum s, or the
-    error of the first failed check, unraised: the checks of SeriesParams,
-    then of DJProblem, then rho >= 0 (a HypothesisViolation), in that order.
-    The integer kernel of expected_dim and of every dim/empty cell, which
-    evaluates its two halves apart, so that the cells of one (r, d) share
-    the half that does not read g.
+def expected_dim_sigma(p: DJProblem) -> int:
+    """Dimension of every component of the universal secant locus on a
+    general curve: rho + e - f(r+1-|mu|+f), that is rho plus
+    expected_dim_fixed_series.  Requires rho >= 0.
     """
-    return general_dim_or_error(g, r, d, fixed_dim_or_error(r, d, e, s, f))
-
-
-def expected_dim(g: int, r: int, d: int, e: int, s: int, f: int) -> int:
-    """expected_dim_or_error, raising its error."""
-    dim = expected_dim_or_error(g, r, d, e, s, f)
+    dim = general_dim_or_error(p.params.g, p.params.r, p.params.d, expected_dim_fixed_series(p))
     if isinstance(dim, ValueError):
         raise dim
     return dim
-
-
-def expected_dim_sigma(p: DJProblem) -> int:
-    """Dimension of every component of the universal secant locus on a
-    general curve: rho + e - f(r+1-|mu|+f).  Requires rho >= 0.
-    """
-    return expected_dim(p.params.g, p.params.r, p.params.d, p.mu.length, p.mu.total, p.f)
 
 
 def expected_dim_fixed_series(p: DJProblem) -> int:

@@ -254,9 +254,11 @@ def compile_partition_spec(
             base = base_of(env)
             exp = 1 if exp_of is None else exp_of(env)
             if exp < 0:
-                return ValueError(f"partition item {item!r} has negative multiplicity {exp}")
+                shown = f"of more than {MAX_DIGITS} digits" if too_long(exp) else exp
+                return ValueError(f"partition item {item!r} has negative multiplicity {shown}")
             if exp > 0 and base < 1:
-                return ValueError(f"partition item {item!r} has non-positive part {base}")
+                shown = f"of more than {MAX_DIGITS} digits" if too_long(base) else base
+                return ValueError(f"partition item {item!r} has non-positive part {shown}")
             if exp > 0 and too_long(base):
                 return ValueError(f"partition item {item!r} has a part of more than {MAX_DIGITS} digits")
             if len(parts) + exp > MAX_PARTS:

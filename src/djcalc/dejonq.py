@@ -119,21 +119,22 @@ def coefficient_count(g: int, r: int, d: int, mu: Partition) -> int:
     with e_k(a) read off prod_v (1 + v t)^(n_v), whose rows are C(n_v, j) * v^j.
 
     When g <= e, ff(g, k) is 0 for k > g and ff(e-g, e-k) is 0 for k < g, so
-    only the term k = g is evaluated.
+    only the term k = g is evaluated, and the product is truncated at degree g.
     """
     e = mu.length
     error = count_error(g, r, d, e, mu.total)
     if error is not None:
         raise error
+    top = min(g, e)  # the highest degree of the product that is read
     esym = [1]
     prod_a = 1
     for v, n in mu.multiplicities.items():
         prod_a *= v**n
-        row = [binomial(n, j) * v**j for j in range(n + 1)]
-        out = [0] * (len(esym) + n)
+        row = [binomial(n, j) * v**j for j in range(min(n, top) + 1)]
+        out = [0] * min(len(esym) + n, top + 1)
         for i, x in enumerate(esym):
-            for j, y in enumerate(row):
-                out[i + j] += x * y
+            for k, y in zip(range(i, top + 1), row):  # k = i + j, up to top
+                out[k] += x * y
         esym = out
     return prod_a * sum(
         falling_factorial(g, k) * falling_factorial(d - r - g, e - k) * esym[k]

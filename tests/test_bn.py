@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from djcalc.bn import (
@@ -10,9 +10,7 @@ from djcalc.bn import (
     corollary_tangent_hyperplane_dim,
     corollary_tangential_secant,
     corollary_total_ramification,
-    expected_dim,
     expected_dim_fixed_series,
-    expected_dim_or_error,
     expected_dim_sigma,
     fixed_dim_or_error,
     general_dim_or_error,
@@ -132,35 +130,42 @@ def returned(fn, *args):
     return value
 
 
+def kernel(g, r, d, e, s, f):
+    """The integer kernel: the half that reads g applied to the half that does not."""
+    return general_dim_or_error(g, r, d, fixed_dim_or_error(r, d, e, s, f))
+
+
+def by_dataclasses(g, r, d, mu, f):
+    return expected_dim_sigma(DJProblem(SeriesParams(g, r, d), mu, f))
+
+
 @given(
     st.integers(-3, 12), st.integers(-3, 8), st.integers(-3, 20),
     st.lists(st.integers(1, 5), max_size=6), st.integers(-4, 24),
 )
+@example(3, 2, 4, [2, 2], 2)  # rho = 0 and f > 0, so each half's formula is compared
+@example(5, 2, 6, [3, 1], 2)
 def test_expected_dim_kernel_matches_the_dataclass_path(g, r, d, parts, f):
     # includes invalid g, r, d and out-of-range f, so the order of the checks
-    # and each message are compared too
+    # and each message are compared too; the dataclass path takes its fixed
+    # half from expected_dim_fixed_series, not from fixed_dim_or_error
     mu = Partition(parts)
-
-    def by_dataclasses():
-        return expected_dim_sigma(DJProblem(SeriesParams(g, r, d), mu, f))
-
-    expected = outcome(by_dataclasses)
-    assert outcome(expected_dim, g, r, d, mu.length, mu.total, f) == expected
-    assert returned(expected_dim_or_error, g, r, d, mu.length, mu.total, f) == expected
+    expected = outcome(by_dataclasses, g, r, d, mu, f)
+    assert returned(kernel, g, r, d, mu.length, mu.total, f) == expected
 
 
 def test_expected_dim_checks_in_order():
     # every check fails: the series comes first, then f, then rho
-    assert outcome(expected_dim, -1, 0, 0, 1, 2, 9) == (ValueError, "genus must be >= 0, got g=-1")
-    assert outcome(expected_dim, 8, 3, 8, 1, 2, 9) == (
-        ValueError, "f=9 outside the valid range [0, 2] for |mu|=2, r=3"
+    cases = (
+        ((-1, 0, 0, [2], 9), (ValueError, "genus must be >= 0, got g=-1")),
+        ((8, 3, 8, [2], 9), (ValueError, "f=9 outside the valid range [0, 2] for |mu|=2, r=3")),
+        ((8, 3, 8, [2], 2), (HypothesisViolation, "rho(8,3,8) = -4 < 0; the dimension statement assumes rho >= 0")),
+        ((3, 2, 4, [2, 2], 2), 0),
     )
-    assert outcome(expected_dim, 8, 3, 8, 1, 2, 2) == (
-        HypothesisViolation, "rho(8,3,8) = -4 < 0; the dimension statement assumes rho >= 0"
-    )
-    assert expected_dim(3, 2, 4, 2, 4, 2) == 0
-    for args in ((-1, 0, 0, 1, 2, 9), (8, 3, 8, 1, 2, 9), (8, 3, 8, 1, 2, 2), (3, 2, 4, 2, 4, 2)):
-        assert returned(expected_dim_or_error, *args) == outcome(expected_dim, *args)
+    for (g, r, d, parts, f), expected in cases:
+        mu = Partition(parts)
+        assert returned(kernel, g, r, d, mu.length, mu.total, f) == expected
+        assert outcome(by_dataclasses, g, r, d, mu, f) == expected
 
 
 @given(
@@ -172,7 +177,7 @@ def test_one_half_that_reads_no_g_serves_every_g(gs, r, d, parts, f):
     fixed = fixed_dim_or_error(r, d, mu.length, mu.total, f)
     for g in gs:
         dim = general_dim_or_error(g, r, d, fixed)
-        assert returned(lambda: dim) == returned(expected_dim_or_error, g, r, d, mu.length, mu.total, f)
+        assert returned(lambda: dim) == outcome(by_dataclasses, g, r, d, mu, f)
         if g >= 0 and isinstance(fixed, ValueError):
             assert dim is fixed  # so a sweep formats its message once for every g
     if not isinstance(fixed, ValueError):

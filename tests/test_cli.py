@@ -194,6 +194,26 @@ def test_a_partition_sum_past_the_digit_bound_skips_its_cell(capsys):
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_a_rejected_multiplicity_or_part_past_the_digit_bound_names_the_bound(capsys):
+    # -nines is within the bound and written as it is; -nines*nines is past it
+    nines = "9" * MAX_DIGITS
+    past = f"of more than {MAX_DIGITS} digits"
+    for spec, message in (
+        (f"2^(-{nines}),1", f"has negative multiplicity -{nines}"),
+        (f"2^(-{nines}*{nines}),1", f"has negative multiplicity {past}"),
+        (f"(-{nines})^1,1", f"has non-positive part -{nines}"),
+        (f"(-{nines}*{nines})^1,1", f"has non-positive part {past}"),
+    ):
+        message = f"partition item {spec.split(',')[0]!r} {message}"
+        for what, f in (("dim", ["--f", "0"]), ("count", [])):
+            code, out = run(["sweep", "--what", what, "--g", "0:1", "--r", "1", "--d", "2", "--mu", spec, *f,
+                             "--format", "json"], capsys)
+            assert code == 0
+            assert [record["status"] for record in json.loads(out)] == [f"skipped: {message}"] * 2
+            assert cli.main([what, "--g", "0", "--r", "1", "--d", "2", "--mu", spec, *f]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_a_number_past_the_digit_bound_is_its_cells_error(capsys):
     nines = "9" * MAX_DIGITS  # 10**4300 - 1
     r_nines = nines[1:]  # 10**4299 - 1, whose rho has more than 4,300 digits
@@ -1066,7 +1086,7 @@ def test_huge_sweep_exits_2_before_any_cell(capsys, monkeypatch):
     for name in ("compile_partition_spec", "compile_f_spec", "_count_record"):
         monkeypatch.setattr(cli, name, unreachable)
     monkeypatch.setattr(dejonq, "count_error", unreachable)
-    for name in ("expected_dim_or_error", "fixed_dim_or_error", "general_dim_or_error"):
+    for name in ("fixed_dim_or_error", "general_dim_or_error"):
         monkeypatch.setattr(cli.bn, name, unreachable)
     for g, cells in (("0:1000000000", 10**9 + 1), ("0:100000000000000000000", 10**20 + 1)):
         for what, f in (("dim", ["--f", "0"]), ("count", [])):

@@ -236,10 +236,8 @@ def test_both_routes_agree_with_subset_summation_past_e():
             assert [count(g, mu) for count in ROUTES.values()] == [expected] * 2, (mu, g)
 
 
-@pytest.mark.parametrize(
-    ("route", "primitive", "per_term"), [("bracket", "elementary_symmetric", 1), ("coefficient", "falling_factorial", 2)]
-)
-def test_each_route_evaluates_one_term_when_g_is_at_most_e(monkeypatch, route, primitive, per_term):
+def calls_per_g(monkeypatch, route, primitive, mu):
+    """How many times `route` calls `primitive` at each g in 0..2e+1."""
     calls = []
     original = getattr(djcalc.dejonq, primitive)
 
@@ -248,14 +246,31 @@ def test_each_route_evaluates_one_term_when_g_is_at_most_e(monkeypatch, route, p
         return original(*args)
 
     monkeypatch.setattr(djcalc.dejonq, primitive, counting)
-    mu = Partition([3, 2, 2, 1, 1, 1])
-    e = mu.length
     per_g = []
-    for g in range(2 * e + 2):
+    for g in range(2 * mu.length + 2):
         calls.clear()
         ROUTES[route](g, mu)
         per_g.append(len(calls))
+    return per_g
+
+
+@pytest.mark.parametrize(
+    ("route", "primitive", "per_term"), [("bracket", "elementary_symmetric", 1), ("coefficient", "falling_factorial", 2)]
+)
+def test_each_route_evaluates_one_term_when_g_is_at_most_e(monkeypatch, route, primitive, per_term):
+    mu = Partition([3, 2, 2, 1, 1, 1])
+    e = mu.length
+    per_g = calls_per_g(monkeypatch, route, primitive, mu)
     assert per_g == [per_term] * (e + 1) + [per_term * (e + 1)] * (e + 1)
+
+
+def test_coefficient_route_builds_its_product_up_to_degree_g_when_g_is_at_most_e(monkeypatch):
+    mu = Partition([3, 2, 2, 1, 1, 1])
+    e, ns = mu.length, list(mu.multiplicities.values())
+    per_g = calls_per_g(monkeypatch, "coefficient", "binomial", mu)
+    # one binomial per entry of each multiplicity's row, truncated at degree g
+    assert per_g == [sum(min(n, g) + 1 for n in ns) for g in range(e + 1)] + [sum(n + 1 for n in ns)] * (e + 1)
+    assert per_g[:4] == [3, 6, 8, 9]
 
 
 def test_coefficient_count_equals_bracket_at_large_length():

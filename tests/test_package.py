@@ -8,4 +8,4 @@ def test_package_exports_each_module_list_and_the_errors():
     assert set(djcalc.__all__) == modules | {"ContractViolation", "HypothesisViolation", "IntegralityError"}
     for name in djcalc.__all__:
         assert getattr(djcalc, name) is not None
-    assert djcalc.expected_dim is bn.expected_dim
+    assert djcalc.fixed_dim_or_error is bn.fixed_dim_or_error
